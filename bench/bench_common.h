@@ -9,9 +9,7 @@
 ///   --list             print the cell ids and exit
 ///   --workers N        cell-level shards (default 0 = hardware concurrency)
 ///   --inner-threads N  per-cell engine threads when cells run sequentially
-///   --no-incremental   disable the delta-SPF failure-evaluation fast path
-///   --no-base-cache    disable the weights-keyed base-routing cache
-///   --no-delay-dp      disable the incremental end-to-end delay DP
+///   --no-incremental   evaluate with the full-recompute reference oracle
 ///
 /// The JSON artifact is byte-identical for any --workers/--inner-threads
 /// combination (the campaign engine's determinism contract), so artifacts
@@ -63,13 +61,10 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     else if (arg == "--workers") args.workers = next_count();
     else if (arg == "--inner-threads") args.inner_threads = next_count();
     else if (arg == "--no-incremental") args.eval_config.incremental = false;
-    else if (arg == "--no-base-cache") args.eval_config.base_routing_cache = false;
-    else if (arg == "--no-delay-dp") args.eval_config.incremental_delay = false;
     else {
       std::cerr << argv[0] << ": unknown flag " << arg
                 << " (flags: --json PATH, --filter SUBSTR, --list, --workers N, "
-                   "--inner-threads N, --no-incremental, --no-base-cache, "
-                   "--no-delay-dp)\n";
+                   "--inner-threads N, --no-incremental)\n";
       std::exit(2);
     }
   }

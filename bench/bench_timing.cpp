@@ -114,20 +114,17 @@ BENCHMARK(BM_FailureSweepThreads)
 
 // ---------------------------------------------------------------------------
 // Incremental (delta-SPF) failure evaluation vs full recompute
-// (EvaluatorConfig::incremental), with and without the incremental delay DP
-// (EvaluatorConfig::incremental_delay). Results are bit-identical — the
-// acceptance metric is the wall-clock ratio on the all-link-failures sweep
-// that dominates the optimizer's Phase 2 and every campaign profile.
+// (EvaluatorConfig::incremental). Results are bit-identical — the acceptance
+// metric is the wall-clock ratio on the all-link-failures sweep that
+// dominates the optimizer's Phase 2 and every campaign profile. The base
+// cache is emptied every iteration, so each sweep pays for its own base.
 // ---------------------------------------------------------------------------
 
 void BM_FailureSweepIncremental(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
-  const bool delay_dp = state.range(1) != 0;
   const Workload& workload = fixture().workload;
   EvaluatorConfig config;
   config.incremental = incremental;
-  config.incremental_delay = delay_dp;
-  config.base_routing_cache = false;  // isolate the per-call cost
   const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
   WeightSetting w(ev.graph().num_links());
   Rng rng(seed_from_env(1));
@@ -136,16 +133,17 @@ void BM_FailureSweepIncremental(benchmark::State& state) {
 
   double checksum = 0.0;
   for (auto _ : state) {
+    ev.invalidate_base_cache();
     const auto results = ev.evaluate_failures(w, scenarios);
     checksum += results.front().phi;
   }
   benchmark::DoNotOptimize(checksum);
-  state.SetLabel(!incremental ? "full" : (delay_dp ? "incremental+delay-dp" : "incremental"));
+  state.SetLabel(incremental ? "incremental" : "full");
   state.counters["links"] = static_cast<double>(ev.graph().num_links());
 }
 BENCHMARK(BM_FailureSweepIncremental)
-    ->ArgNames({"incremental", "delay_dp"})
-    ->Args({0, 0})->Args({1, 0})->Args({1, 1})
+    ->ArgNames({"incremental"})
+    ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -165,7 +163,6 @@ void BM_FailureSweepTelemetry(benchmark::State& state) {
   const Workload& workload = fixture().workload;
   telemetry::Registry registry;
   EvaluatorConfig config;
-  config.base_routing_cache = false;  // isolate the per-call cost
   config.telemetry = &registry;
   const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
   WeightSetting w(ev.graph().num_links());
@@ -175,6 +172,7 @@ void BM_FailureSweepTelemetry(benchmark::State& state) {
 
   double checksum = 0.0;
   for (auto _ : state) {
+    ev.invalidate_base_cache();  // isolate the per-call cost
     const auto results = ev.evaluate_failures(w, scenarios);
     checksum += results.front().phi;
   }
@@ -203,9 +201,7 @@ BENCHMARK(BM_FailureSweepTelemetry)
 void BM_EventBusOverhead(benchmark::State& state) {
   const bool events_on = state.range(0) != 0;
   const Workload& workload = fixture().workload;
-  EvaluatorConfig config;
-  config.base_routing_cache = false;  // isolate the per-call cost
-  const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
+  const Evaluator ev(workload.graph, workload.traffic, workload.params);
   WeightSetting w(ev.graph().num_links());
   Rng rng(seed_from_env(1));
   randomize_weights(w, 30, rng);
@@ -215,6 +211,7 @@ void BM_EventBusOverhead(benchmark::State& state) {
   std::uint64_t published = 0;
   double checksum = 0.0;
   for (auto _ : state) {
+    ev.invalidate_base_cache();  // isolate the per-call cost
     const auto results = ev.evaluate_failures(w, scenarios);
     checksum += results.front().phi;
     if (events_on) {
@@ -258,7 +255,6 @@ void BM_CompoundFailureSweep(benchmark::State& state) {
   const Workload& workload = fixture().workload;
   EvaluatorConfig config;
   config.incremental = incremental;
-  config.base_routing_cache = false;  // isolate the per-call cost
   const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
   WeightSetting w(ev.graph().num_links());
   Rng rng(seed_from_env(1));
@@ -269,6 +265,7 @@ void BM_CompoundFailureSweep(benchmark::State& state) {
 
   double checksum = 0.0;
   for (auto _ : state) {
+    ev.invalidate_base_cache();  // isolate the per-call cost
     const SweepResult r = ev.sweep(w, set.scenarios(), {.scenario_weights = set.weights()});
     checksum += r.phi;
   }
@@ -282,54 +279,47 @@ BENCHMARK(BM_CompoundFailureSweep)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Base-routing cache (EvaluatorConfig::base_routing_cache) on the Phase-2
-// local-search workload: every candidate is a normal evaluation followed by
-// a critical-scenario sweep of the SAME weights, so the cache turns two full
-// base routings per candidate into one (plus delay-DP skips inside the
-// sweep). Results are bit-identical; this bench is the PR's before/after
-// acceptance number.
+// Base-routing cache on the Phase-2 local-search workload: every candidate
+// is a normal evaluation followed by a critical-scenario sweep of the SAME
+// weights, so the cache turns two full base routings per candidate into
+// one. The cache counters say how often it served.
 // ---------------------------------------------------------------------------
 
 void BM_Phase2BaseCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
   const Effort effort = effort_from_env(Effort::kQuick);
   const Workload& workload = fixture().workload;
-  EvaluatorConfig config;
-  config.base_routing_cache = cached;
-  const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
+  const Evaluator ev(workload.graph, workload.traffic, workload.params);
   OptimizeResult last;
   for (auto _ : state) {
     last = run_optimizer(ev, effort, seed_from_env(1), [](OptimizerConfig&) {});
   }
   report_phases(state, last);
-  state.SetLabel(cached ? "base-cache" : "no-cache");
   state.counters["cache_hits"] = static_cast<double>(last.base_cache_hits());
   state.counters["cache_misses"] = static_cast<double>(last.base_cache_misses());
 }
-BENCHMARK(BM_Phase2BaseCache)->Arg(0)->Arg(1)->Unit(benchmark::kSecond)->Iterations(1);
+BENCHMARK(BM_Phase2BaseCache)->Unit(benchmark::kSecond)->Iterations(1);
 
 // ---------------------------------------------------------------------------
 // Weight-delta donor patching on the Phase-1 probe shape: a cached incumbent,
-// then a batch of candidates each differing on ONE link. With patching on
-// (max_links:1) every probe's base — labels, DAGs, loads, delay columns — is
+// then a batch of candidates each differing on ONE link. With the donor
+// resident (donor:1) every probe's base — labels, DAGs, loads — is
 // delta-patched from the incumbent via delta_spf_update_arcs + record replay;
-// with it off (max_links:0) every probe pays two full all-destination
-// Dijkstra builds. Results are bit-identical; the ratio is this PR's Phase-1
-// acceptance number. Evaluator construction + incumbent seeding sit outside
-// the timed region so only the probe evaluations are measured.
+// with the cache emptied before each probe (donor:0) every probe pays two
+// full all-destination Dijkstra builds. Results are bit-identical; the ratio
+// is the Phase-1 probe speedup. Evaluator construction + incumbent seeding
+// sit outside the timed region so only the probe evaluations are measured.
+// The batch is kBaseCacheCapacity probes: the incumbent is evicted by the
+// last insertion, after serving every probe as the donor.
 // ---------------------------------------------------------------------------
 
 void BM_Phase1ProbePatching(benchmark::State& state) {
-  const auto max_links = static_cast<std::size_t>(state.range(0));
+  const bool donor = state.range(0) != 0;
   const Workload& workload = fixture().workload;
-  EvaluatorConfig config;
-  config.weight_delta_max_links = max_links;
-  config.base_cache_capacity = 64;  // incumbent stays resident across the batch
   const std::size_t num_links = workload.graph.num_links();
   WeightSetting incumbent(num_links);
   Rng rng(seed_from_env(1));
   randomize_weights(incumbent, 30, rng);
-  const std::size_t num_probes = std::min<std::size_t>(16, num_links);
+  const std::size_t num_probes = std::min(kBaseCacheCapacity, num_links);
   std::vector<WeightSetting> probes;
   for (std::size_t p = 0; p < num_probes; ++p) {
     WeightSetting probe = incumbent;
@@ -344,22 +334,24 @@ void BM_Phase1ProbePatching(benchmark::State& state) {
   std::uint64_t patched = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const Evaluator ev(workload.graph, workload.traffic, workload.params, config);
+    const Evaluator ev(workload.graph, workload.traffic, workload.params);
     checksum += ev.evaluate(incumbent, FailureScenario::none()).phi;
     state.ResumeTiming();
-    for (const WeightSetting& probe : probes)
+    for (const WeightSetting& probe : probes) {
+      if (!donor) ev.invalidate_base_cache();
       checksum += ev.evaluate(probe, FailureScenario::none()).phi;
+    }
     state.PauseTiming();
     patched = ev.base_cache_stats().weight_patched;
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(checksum);
-  state.SetLabel(max_links > 0 ? "donor-patched" : "full-build");
+  state.SetLabel(donor ? "donor-patched" : "full-build");
   state.counters["probes"] = static_cast<double>(num_probes);
   state.counters["weight_patched"] = static_cast<double>(patched);
 }
 BENCHMARK(BM_Phase1ProbePatching)
-    ->ArgNames({"max_links"})
+    ->ArgNames({"donor"})
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -8,40 +8,7 @@
 /// it as dtr.scenarios.v1 JSON; the `tail` subcommand pretty-prints a
 /// dtr.events.v1 JSONL event stream as a live progress view.
 ///
-/// Usage:
-///   dtr_tool [--topology rand|near|pl|isp] [--nodes N] [--degree D]
-///            [--seed S] [--avg-util U | --max-util U] [--theta MS]
-///            [--effort smoke|quick|full] [--fraction F]
-///            [--objective expected|percentile|downtime]
-///            [--harden-set all_links|all_nodes|k_link|srlg_file|geo_srlg]
-///            [--harden-k N] [--harden-budget N] [--harden-srlg-file FILE]
-///            [--harden-geo-grid N] [--harden-rates] [--harden-percentile P]
-///            [--harden-period MIN]
-///            [--in-graph FILE] [--out-graph FILE] [--out-weights FILE]
-///            [--out-dot FILE] [--report]
-///            [--telemetry-json FILE] [--trace-out FILE]
-///            [--events-out FILE] [--trace-events FILE] [--metrics-port N]
-///   dtr_tool campaign --spec FILE [--json FILE] [--workers N]
-///            [--inner-threads N] [--filter SUBSTR] [--list] [--timings]
-///            [--no-incremental] [--no-base-cache] [--no-delay-dp]
-///            [--telemetry-json FILE] [--trace-out FILE]
-///            [--events-out FILE] [--metrics-port N]
-///   dtr_tool scenarios --set all_links|all_nodes|k_link|srlg_file|geo_srlg
-///            [--k N] [--budget N] [--srlg-file FILE] [--geo-grid N]
-///            [--rates] [--topology rand|near|pl|isp] [--nodes N]
-///            [--degree D] [--seed S] [--theta MS] [--in-graph FILE]
-///            [--json FILE] [--list] [--describe]
-///   dtr_tool tail FILE [--follow]
-///   dtr_tool --version
-///
-/// Examples:
-///   dtr_tool --topology isp --report --out-weights isp.weights
-///   dtr_tool --topology rand --nodes 24 --degree 6 --out-dot net.dot
-///   dtr_tool --topology rand --objective downtime --harden-set geo_srlg
-///            --harden-rates --report
-///   dtr_tool campaign --spec sweep.campaign --json sweep.json --workers 0
-///   dtr_tool scenarios --set k_link --k 2 --budget 50 --rates --json k2.json
-///   dtr_tool scenarios --set geo_srlg --topology rand --nodes 30 --describe
+/// Usage: `dtr_tool --help` prints the synopsis and examples (kUsage below).
 ///
 /// Hardening (availability-aware optimization): --objective switches Phase 2
 /// to a HardeningObjective — a scenario catalog (--harden-set, defaulting to
@@ -154,9 +121,53 @@ struct Options {
   dtr::experiments::HardenSpec harden;
 };
 
+constexpr const char* kUsage = R"(Usage:
+  dtr_tool [--topology rand|near|pl|isp] [--nodes N] [--degree D]
+           [--seed S] [--avg-util U | --max-util U] [--theta MS]
+           [--effort smoke|quick|full] [--fraction F]
+           [--objective expected|percentile|downtime]
+           [--harden-set all_links|all_nodes|k_link|srlg_file|geo_srlg]
+           [--harden-k N] [--harden-budget N] [--harden-srlg-file FILE]
+           [--harden-geo-grid N] [--harden-rates] [--harden-percentile P]
+           [--harden-period MIN]
+           [--in-graph FILE] [--out-graph FILE] [--out-weights FILE]
+           [--out-dot FILE] [--report]
+           [--telemetry-json FILE] [--trace-out FILE]
+           [--events-out FILE] [--trace-events FILE] [--metrics-port N]
+  dtr_tool campaign --spec FILE [--json FILE] [--workers N]
+           [--inner-threads N] [--filter SUBSTR] [--list] [--timings]
+           [--no-incremental]
+           [--telemetry-json FILE] [--trace-out FILE]
+           [--events-out FILE] [--metrics-port N]
+  dtr_tool scenarios --set all_links|all_nodes|k_link|srlg_file|geo_srlg
+           [--k N] [--budget N] [--srlg-file FILE] [--geo-grid N]
+           [--rates] [--topology rand|near|pl|isp] [--nodes N]
+           [--degree D] [--seed S] [--theta MS] [--in-graph FILE]
+           [--json FILE] [--list] [--describe]
+  dtr_tool tail FILE [--follow]
+  dtr_tool --version
+  dtr_tool --help | -h          (also after any subcommand)
+
+Examples:
+  dtr_tool --topology isp --report --out-weights isp.weights
+  dtr_tool --topology rand --nodes 24 --degree 6 --out-dot net.dot
+  dtr_tool --topology rand --objective downtime --harden-set geo_srlg
+           --harden-rates --report
+  dtr_tool campaign --spec sweep.campaign --json sweep.json --workers 0
+  dtr_tool scenarios --set k_link --k 2 --budget 50 --rates --json k2.json
+  dtr_tool scenarios --set geo_srlg --topology rand --nodes 30 --describe
+)";
+
 [[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "dtr_tool: " << message << "\n(see the header comment for usage)\n";
+  std::cerr << "dtr_tool: " << message << "\n(run dtr_tool --help for usage)\n";
   std::exit(2);
+}
+
+/// `--help` / `-h` anywhere on a command line prints the usage and exits 0.
+void exit_on_help(const std::string& arg) {
+  if (arg != "--help" && arg != "-h") return;
+  std::cout << kUsage;
+  std::exit(0);
 }
 
 struct BuiltTopology {
@@ -301,6 +312,7 @@ Options parse_args(int argc, char** argv) {
   std::map<std::string, std::string> flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    exit_on_help(arg);
     if (arg == "--report") {
       opt.report = true;
       continue;
@@ -396,12 +408,13 @@ int run_campaign_command(int argc, char** argv) {
   std::string spec_path, json_path, filter, telemetry_json, trace_out, events_out;
   int workers = 0, inner_threads = 1, metrics_port = -1;
   bool list = false, timings = false;
-  // Evaluator execution knobs: results are bit-identical for every setting
-  // (the CI golden gate proves it across the config corners); these exist to
-  // cross-check the fast paths and to time them.
+  // --no-incremental switches to the full-recompute reference oracle: results
+  // are bit-identical (the CI golden gate proves it), so it exists to
+  // cross-check and time the incremental path.
   dtr::EvaluatorConfig eval_config;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    exit_on_help(arg);
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage_error(arg + " needs a value");
       return argv[++i];
@@ -421,8 +434,6 @@ int run_campaign_command(int argc, char** argv) {
     else if (arg == "--list") list = true;
     else if (arg == "--timings") timings = true;
     else if (arg == "--no-incremental") eval_config.incremental = false;
-    else if (arg == "--no-base-cache") eval_config.base_routing_cache = false;
-    else if (arg == "--no-delay-dp") eval_config.incremental_delay = false;
     else if (arg == "--telemetry-json") telemetry_json = next();
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--events-out") events_out = next();
@@ -504,6 +515,7 @@ int run_scenarios_command(int argc, char** argv) {
   bool list = false, describe = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    exit_on_help(arg);
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage_error(arg + " needs a value");
       return argv[++i];
@@ -657,6 +669,7 @@ int run_tail_command(int argc, char** argv) {
   bool follow = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    exit_on_help(arg);
     if (arg == "--follow") follow = true;
     else if (arg.rfind("--", 0) == 0) usage_error("unknown tail flag: " + arg);
     else if (path.empty()) path = arg;

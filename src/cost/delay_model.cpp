@@ -1,7 +1,5 @@
 #include "cost/delay_model.h"
 
-#include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace dtr {
@@ -40,43 +38,6 @@ double link_delay_ms(double load_mbps, double capacity_mbps, double prop_delay_m
   if (prop_delay_ms < 0.0) throw std::invalid_argument("link_delay_ms: negative delay");
   if (load_mbps / capacity_mbps <= params.utilization_threshold) return prop_delay_ms;  // (1a)
   return queueing_delay_ms(load_mbps, capacity_mbps, params) + prop_delay_ms;           // (1b)
-}
-
-void DelayDpIndex::reset(std::size_t num_arcs) {
-  num_arcs_ = num_arcs;
-  pair_arc_.clear();
-  pair_dest_.clear();
-  offset_.clear();
-  user_.clear();
-}
-
-void DelayDpIndex::finalize() {
-  if (ready()) throw std::logic_error("DelayDpIndex::finalize: already finalized");
-  // Counting sort into the arc -> destinations CSR (stable, so each arc's
-  // destination list comes out ascending).
-  offset_.assign(num_arcs_ + 1, 0);
-  for (const ArcId a : pair_arc_) ++offset_[a + 1];
-  for (std::size_t a = 0; a < num_arcs_; ++a) offset_[a + 1] += offset_[a];
-  user_.resize(pair_arc_.size());
-  std::vector<std::size_t> cursor(offset_.begin(), offset_.end() - 1);
-  for (std::size_t i = 0; i < pair_arc_.size(); ++i)
-    user_[cursor[pair_arc_[i]]++] = pair_dest_[i];
-}
-
-void mark_dirty_destinations(const DelayDpIndex& index,
-                             std::span<const double> base_delay_ms,
-                             std::span<const double> delay_ms,
-                             std::span<std::uint8_t> dirty) {
-  if (base_delay_ms.size() != delay_ms.size())
-    throw std::invalid_argument("mark_dirty_destinations: delay size mismatch");
-  if (!index.ready())
-    throw std::logic_error("mark_dirty_destinations: index not finalized");
-  for (std::size_t a = 0; a < delay_ms.size(); ++a) {
-    if (std::bit_cast<std::uint64_t>(delay_ms[a]) ==
-        std::bit_cast<std::uint64_t>(base_delay_ms[a]))
-      continue;
-    for (const NodeId t : index.users(static_cast<ArcId>(a))) dirty[t] = 1;
-  }
 }
 
 }  // namespace dtr

@@ -346,12 +346,8 @@ std::vector<StressSeries> evaluate_fluctuations(const Workload& base,
     });
 
     const std::size_t n = base.graph.num_nodes();
-    const std::size_t cap =
-        eval_config.incremental_max_affected_fraction >= 1.0
-            ? n
-            : static_cast<std::size_t>(
-                  std::max(0.0, eval_config.incremental_max_affected_fraction) *
-                  static_cast<double>(n));
+    const auto cap =
+        static_cast<std::size_t>(kIncrementalMaxAffectedFraction * static_cast<double>(n));
     std::vector<double> cost_delay, cost_tput;
     std::vector<std::uint8_t> mask;
     std::vector<ArcId> removed;

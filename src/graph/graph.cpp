@@ -67,14 +67,19 @@ void check_endpoints(std::size_t n, NodeId u, NodeId v) {
   if (u == v) throw std::invalid_argument("Graph: self-loops are not allowed");
 }
 void check_positive(double value, const char* what) {
-  if (!(value > 0.0)) throw std::invalid_argument(std::string("Graph: ") + what + " must be > 0");
+  if (!(value > 0.0) || !std::isfinite(value))
+    throw std::invalid_argument(std::string("Graph: ") + what + " must be finite and > 0");
+}
+void check_delay(double prop_delay_ms) {
+  if (!(prop_delay_ms >= 0.0) || !std::isfinite(prop_delay_ms))
+    throw std::invalid_argument("Graph: delay must be finite and >= 0");
 }
 }  // namespace
 
 LinkId Graph::add_link(NodeId u, NodeId v, double capacity_mbps, double prop_delay_ms) {
   check_endpoints(num_nodes(), u, v);
   check_positive(capacity_mbps, "capacity");
-  if (prop_delay_ms < 0.0) throw std::invalid_argument("Graph: negative delay");
+  check_delay(prop_delay_ms);
 
   const LinkId link = static_cast<LinkId>(links_.size());
   const ArcId fwd = static_cast<ArcId>(arcs_.size());
@@ -93,7 +98,7 @@ LinkId Graph::add_link(NodeId u, NodeId v, double capacity_mbps, double prop_del
 ArcId Graph::add_arc(NodeId u, NodeId v, double capacity_mbps, double prop_delay_ms) {
   check_endpoints(num_nodes(), u, v);
   check_positive(capacity_mbps, "capacity");
-  if (prop_delay_ms < 0.0) throw std::invalid_argument("Graph: negative delay");
+  check_delay(prop_delay_ms);
 
   const LinkId link = static_cast<LinkId>(links_.size());
   const ArcId a = static_cast<ArcId>(arcs_.size());
@@ -188,7 +193,7 @@ void Graph::scale_prop_delays(double factor) {
 }
 
 void Graph::set_link_prop_delay(LinkId l, double prop_delay_ms) {
-  if (prop_delay_ms < 0.0) throw std::invalid_argument("Graph: negative delay");
+  check_delay(prop_delay_ms);
   for (ArcId a : links_.at(l)) arcs_[a].prop_delay_ms = prop_delay_ms;
   invalidate_csr();
 }

@@ -24,25 +24,19 @@ struct Evaluator::IncrementalBase {
   ClassRouting delay;
   ClassRouting tput;
 
-  /// Patch-only machinery, lazily materialized (ensure_patch_records) on the
-  /// first call that patches a failure from this record: Phase-1 probes
-  /// build bases that are usually evicted unused, so they skip the recording
-  /// cost. `records_once` guards the upgrade — cached bases are shared
-  /// across speculative-evaluation threads; readers either ran the call_once
-  /// themselves or the flags were set before the base was published, so the
-  /// plain bools need no atomics.
+  /// Replay records, lazily materialized (ensure_patch_records) on the first
+  /// call that patches a failure from this base: Phase-1 probes build bases
+  /// that are usually evicted unused, so they skip the recording cost.
+  /// `records_once` guards the upgrade — cached bases are shared across
+  /// speculative-evaluation threads, and every reader of the records ran the
+  /// call_once itself.
   mutable std::once_flag records_once;
-  mutable bool has_records = false;
-  mutable bool has_dp_index = false;
   mutable RoutingBaseRecord delay_record;
   mutable RoutingBaseRecord tput_record;
-  mutable DelayDpIndex dp_index;
 
-  /// No-failure products, filled when with_delay_base (see build_base):
-  /// `sd_delay` holds the POST-aggregation values (disconnected pairs capped
-  /// at the disconnect charge), so a replayed column matches what the full
-  /// path's aggregation would leave in place bit for bit.
-  bool has_delay_base = false;
+  /// No-failure products (see finish_base). `sd_delay` holds the
+  /// POST-aggregation values (disconnected pairs capped at the disconnect
+  /// charge), exactly what the full path's aggregation leaves in place.
   std::vector<double> total_load;
   std::vector<double> arc_delay;
   std::vector<double> sd_delay;
@@ -74,9 +68,6 @@ std::size_t differing_links(const WeightSetting& a, const WeightSetting& b) {
 /// and scan cost are noise next to a single Dijkstra.
 class Evaluator::BaseCache {
  public:
-  explicit BaseCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(1, capacity)) {}
-
   std::shared_ptr<const IncrementalBase> find(const WeightSetting& w) {
     const std::lock_guard<std::mutex> lock(mu_);
     for (Entry& e : entries_) {
@@ -102,7 +93,7 @@ class Evaluator::BaseCache {
       }
     }
     ++stats_.insertions;
-    if (entries_.size() >= capacity_) {
+    if (entries_.size() >= kBaseCacheCapacity) {
       auto victim = std::min_element(
           entries_.begin(), entries_.end(),
           [](const Entry& a, const Entry& b) { return a.last_used < b.last_used; });
@@ -113,20 +104,20 @@ class Evaluator::BaseCache {
     }
   }
 
-  /// Closest cached base within `max_links` differing links of `w` (ties
-  /// broken toward the most recently used entry), or nullopt. Returns a COPY
-  /// of the donor's key alongside the record — the entry may be evicted the
-  /// moment the lock drops. Never counts a hit or miss: donor probes always
-  /// follow a failed find(), which already counted the miss.
+  /// Closest cached base within kWeightDeltaMaxLinks differing links of `w`
+  /// (ties broken toward the most recently used entry), or nullopt. Returns a
+  /// COPY of the donor's key alongside the record — the entry may be evicted
+  /// the moment the lock drops. Never counts a hit or miss: donor probes
+  /// always follow a failed find(), which already counted the miss.
   std::optional<std::pair<WeightSetting, std::shared_ptr<const IncrementalBase>>>
-  find_donor(const WeightSetting& w, std::size_t max_links) {
+  find_donor(const WeightSetting& w) {
     const std::lock_guard<std::mutex> lock(mu_);
     const Entry* best = nullptr;
-    std::size_t best_diff = max_links + 1;
+    std::size_t best_diff = kWeightDeltaMaxLinks + 1;
     for (const Entry& e : entries_) {
       if (e.key.num_links() != w.num_links()) continue;
       const std::size_t diff = differing_links(e.key, w);
-      if (diff == 0 || diff > max_links) continue;
+      if (diff == 0 || diff > kWeightDeltaMaxLinks) continue;
       if (diff < best_diff || (diff == best_diff && e.last_used > best->last_used)) {
         best = &e;
         best_diff = diff;
@@ -165,7 +156,6 @@ class Evaluator::BaseCache {
   };
 
   mutable std::mutex mu_;
-  const std::size_t capacity_;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
   EvaluatorCacheStats stats_;
@@ -210,7 +200,6 @@ void publish_eval_stats(telemetry::Registry& reg, const EvalStats& agg) {
   reg.counter("spf.boundary_seeds").add(p.boundary_seeds);
   reg.counter("load.dests_replayed").add(p.dests_replayed);
   reg.counter("load.dests_resweep").add(p.dests_resweep);
-  reg.counter("delay.cols_replayed").add(p.delay_cols_replayed);
   reg.counter("delay.cols_recomputed").add(p.delay_cols_recomputed);
   reg.histogram("spf.affected_region", kAffectedBucketBounds)
       .merge_buckets(p.affected_buckets, p.dests_delta, p.affected_nodes);
@@ -238,8 +227,7 @@ Evaluator::Evaluator(const Graph& g, const ClassedTraffic& traffic, EvalParams p
   }
   delay_pairs_ = traffic_.delay.num_positive_demands();
 
-  if (config_.incremental && config_.base_routing_cache)
-    cache_ = std::make_unique<BaseCache>(config_.base_cache_capacity);
+  if (config_.incremental) cache_ = std::make_unique<BaseCache>();
 }
 
 Evaluator::~Evaluator() = default;
@@ -288,48 +276,31 @@ EvalResult Evaluator::evaluate(const WeightSetting& w, const FailureScenario& sc
   w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
   w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
 
-  // With the cache on, a single evaluation is worth a base record: the
-  // optimizer's pattern is evaluate(w) followed by sweeps / failure
-  // evaluations of the SAME weights, so the record built here is the one
-  // those calls reuse (and a failure evaluation that finds the record
-  // patches instead of recomputing).
+  // A single evaluation is worth a base record: the optimizer's pattern is
+  // evaluate(w) followed by sweeps / failure evaluations of the SAME
+  // weights, so the record built here is the one those calls reuse (and a
+  // failure evaluation that finds the record patches instead of
+  // recomputing).
   std::shared_ptr<const IncrementalBase> base;
-  if (cache_ != nullptr && incremental_eligible(scenario))
-    base = acquire_base(w, scratch.cost_delay, scratch.cost_tput, 1,
-                        incremental_patchable(scenario) ? 1 : 0);
+  if (incremental_eligible(scenario))
+    base = acquire_base(w, scratch.cost_delay, scratch.cost_tput, /*build=*/true,
+                        incremental_patchable(scenario));
   return evaluate_impl(scratch.cost_delay, scratch.cost_tput, scenario, detail, scratch,
                        base.get());
 }
 
 void Evaluator::build_base(std::span<const double> cost_delay,
-                           std::span<const double> cost_tput, IncrementalBase& base,
-                           bool with_delay_base, bool with_records) const {
-  base.delay.compute(graph_, cost_delay, traffic_.delay, {}, {},
-                     with_records ? &base.delay_record : nullptr);
-  base.tput.compute(graph_, cost_tput, traffic_.throughput, {}, {},
-                    with_records ? &base.tput_record : nullptr);
-  if (with_records) {
-    // Mark the once_flag spent so ensure_patch_records never re-records a
-    // base that was built eagerly. Runs before the base is published, so the
-    // plain flag writes need no further synchronization.
-    std::call_once(base.records_once, [] {});
-    base.has_records = true;
-  }
-  if (!with_delay_base) return;
-
-  compute_base_products(base);
-
-  DelayDpIndex* record =
-      with_records && config_.incremental_delay ? &base.dp_index : nullptr;
-  base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay, traffic_.delay,
-                               params_.sla_delay_mode, {}, base.sd_delay, record);
-  base.has_dp_index = record != nullptr;
-
-  aggregate_none_result(base);
-  base.has_delay_base = true;
+                           std::span<const double> cost_tput,
+                           IncrementalBase& base) const {
+  base.delay.compute(graph_, cost_delay, traffic_.delay, {});
+  base.tput.compute(graph_, cost_tput, traffic_.throughput, {});
+  finish_base(cost_delay, base);
 }
 
-void Evaluator::compute_base_products(IncrementalBase& base) const {
+// The same per-arc products, delay DP and aggregation the full path runs, so
+// a served no-failure result is bit-identical to a computed one.
+void Evaluator::finish_base(std::span<const double> cost_delay,
+                            IncrementalBase& base) const {
   const GraphCsr& csr = graph_.csr();
   const std::size_t num_arcs = graph_.num_arcs();
   base.total_load.resize(num_arcs);
@@ -339,11 +310,9 @@ void Evaluator::compute_base_products(IncrementalBase& base) const {
     base.arc_delay[a] = link_delay_ms(base.total_load[a], csr.capacity[a],
                                       csr.prop_delay_ms[a], params_.delay_model);
   }
-}
+  base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay, traffic_.delay,
+                               params_.sla_delay_mode, {}, base.sd_delay);
 
-// The same aggregation the full path runs, so a served no-failure result is
-// bit-identical to a computed one.
-void Evaluator::aggregate_none_result(IncrementalBase& base) const {
   EvalResult& none = base.none_result;
   none = EvalResult{};
   const double disconnect_delay =
@@ -353,8 +322,6 @@ void Evaluator::aggregate_none_result(IncrementalBase& base) const {
   none.lambda = sla.lambda;
   none.sla_violations = sla.violations;
   none.disconnected_delay_pairs = base.delay.disconnected_demand_count();
-  const GraphCsr& csr = graph_.csr();
-  const std::size_t num_arcs = graph_.num_arcs();
   for (ArcId a = 0; a < num_arcs; ++a) {
     if (base.tput.arc_load(a) <= 0.0) continue;
     none.phi += fortz_cost(base.total_load[a], csr.capacity[a]);
@@ -363,20 +330,17 @@ void Evaluator::aggregate_none_result(IncrementalBase& base) const {
   none.disconnected_tput_pairs = base.tput.disconnected_demand_count();
 }
 
-bool Evaluator::build_base_from_donor(const WeightSetting& w,
+void Evaluator::build_base_from_donor(const WeightSetting& w,
                                       const WeightSetting& donor_key,
                                       const IncrementalBase& donor,
                                       std::span<const double> cost_delay,
                                       std::span<const double> cost_tput,
                                       IncrementalBase& built) const {
-  if (!donor.has_delay_base) return false;
-
   std::vector<double> donor_cost_delay, donor_cost_tput;
   donor_key.arc_costs(graph_, TrafficClass::kDelay, donor_cost_delay);
   donor_key.arc_costs(graph_, TrafficClass::kThroughput, donor_cost_tput);
-  // The donor's replay records (and delay-DP index) materialize on first use
-  // with the DONOR's own costs — exactly what its first failure patch would
-  // have recorded.
+  // The donor's replay records materialize on first use with the DONOR's own
+  // costs — exactly what its first failure patch would have recorded.
   ensure_patch_records(donor_cost_delay, donor_cost_tput, donor);
 
   // Per-class arc-cost change lists: only the differing links' arcs, carrying
@@ -395,33 +359,12 @@ bool Evaluator::build_base_from_donor(const WeightSetting& w,
   FailureScratch scratch;
   built.delay.compute_from_weight_delta(graph_, cost_delay, traffic_.delay, donor.delay,
                                         donor.delay_record, delay_changes,
-                                        config_.incremental_max_affected_fraction,
-                                        scratch);
+                                        kIncrementalMaxAffectedFraction, scratch);
   built.tput.compute_from_weight_delta(graph_, cost_tput, traffic_.throughput,
                                        donor.tput, donor.tput_record, tput_changes,
-                                       config_.incremental_max_affected_fraction,
-                                       scratch);
-
-  compute_base_products(built);
-
-  // Delay columns: replay the donor's for destinations whose DAG and read
-  // arc-delays are bitwise unchanged, run the DP for the rest — the same
-  // incremental-delay machinery the failure patch path rides.
-  if (config_.incremental_delay && donor.has_dp_index) {
-    built.delay.end_to_end_delays_from_base(
-        graph_, cost_delay, {}, built.arc_delay, traffic_.delay, params_.sla_delay_mode,
-        donor.arc_delay, donor.sd_delay, donor.dp_index, scratch, built.sd_delay);
-  } else {
-    built.delay.end_to_end_delays(graph_, cost_delay, {}, built.arc_delay,
-                                  traffic_.delay, params_.sla_delay_mode, {},
-                                  built.sd_delay);
-  }
-  aggregate_none_result(built);
-  built.has_delay_base = true;
-  // Records of the NEW base stay lazy (ensure_patch_records), like any cached
-  // scratch build.
+                                       kIncrementalMaxAffectedFraction, scratch);
+  finish_base(cost_delay, built);
   cache_->note_weight_patch(delay_changes.size() + tput_changes.size());
-  return true;
 }
 
 void Evaluator::ensure_patch_records(std::span<const double> cost_delay,
@@ -429,67 +372,35 @@ void Evaluator::ensure_patch_records(std::span<const double> cost_delay,
                                      const IncrementalBase& base) const {
   std::call_once(base.records_once, [&] {
     // Replay the load sweeps over the base's EXISTING distance labels (no
-    // Dijkstra) to capture the per-destination replay slices, and the delay
-    // DP (which also reads only existing labels) to capture the dirty-arc
-    // index: same labels, same float ops, so the recorded values are exactly
-    // what an eager build would have recorded.
+    // Dijkstra) to capture the per-destination replay slices: same labels,
+    // same float ops, so the recorded values are exactly what recording
+    // during the build would have produced.
     base.delay.record_contributions(graph_, cost_delay, traffic_.delay, {}, {},
                                     base.delay_record);
     base.tput.record_contributions(graph_, cost_tput, traffic_.throughput, {}, {},
                                    base.tput_record);
-    if (config_.incremental_delay && base.has_delay_base) {
-      std::vector<double> sd_scratch;
-      base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay,
-                                   traffic_.delay, params_.sla_delay_mode, {},
-                                   sd_scratch, &base.dp_index);
-      base.has_dp_index = true;
-    }
-    base.has_records = true;
   });
 }
 
 std::shared_ptr<const Evaluator::IncrementalBase> Evaluator::acquire_base(
     const WeightSetting& w, std::span<const double> cost_delay,
-    std::span<const double> cost_tput, std::size_t eligible_scenarios,
-    std::size_t patchable_scenarios) const {
-  std::shared_ptr<const IncrementalBase> base;
-  if (!config_.incremental) return base;
-  if (cache_ != nullptr) {
-    base = cache_->find(w);
-    if (base == nullptr) {
-      if (eligible_scenarios < 1) return base;
-      auto built = std::make_shared<IncrementalBase>();
-      // A cached record always carries the delay base (serving no-failure
-      // evaluations from it is half the point of caching) but defers the
-      // patch records to first reuse — most cached bases are Phase-1 probes
-      // that are evicted without ever patching a failure. When a near
-      // neighbor is cached (a probe differing from the incumbent on one
-      // link), the build itself is delta-patched from it.
-      bool from_donor = false;
-      if (config_.weight_delta_max_links > 0) {
-        if (auto donor = cache_->find_donor(w, config_.weight_delta_max_links))
-          from_donor = build_base_from_donor(w, donor->first, *donor->second,
-                                             cost_delay, cost_tput, *built);
-      }
-      if (!from_donor)
-        build_base(cost_delay, cost_tput, *built, /*with_delay_base=*/true,
-                   /*with_records=*/false);
-      cache_->insert(w, built);
-      base = std::move(built);
-    }
-  } else {
-    // Uncached: the base costs about one full routing to build; with fewer
-    // than two eligible scenarios it cannot pay for itself. The threshold
-    // depends only on the scenario list, so results stay independent of the
-    // execution shape. Records are built inline — an uncached base is
-    // always consumed by the very call that built it.
-    if (eligible_scenarios < 2) return base;
+    std::span<const double> cost_tput, bool build, bool patch) const {
+  if (cache_ == nullptr) return nullptr;
+  std::shared_ptr<const IncrementalBase> base = cache_->find(w);
+  if (base == nullptr) {
+    if (!build) return base;
+    // When a near neighbor is cached (a probe differing from the incumbent
+    // on one link), the build itself is delta-patched from it.
     auto built = std::make_shared<IncrementalBase>();
-    build_base(cost_delay, cost_tput, *built, config_.incremental_delay,
-               /*with_records=*/true);
+    if (auto donor = cache_->find_donor(w))
+      build_base_from_donor(w, donor->first, *donor->second, cost_delay, cost_tput,
+                            *built);
+    else
+      build_base(cost_delay, cost_tput, *built);
+    cache_->insert(w, built);
     base = std::move(built);
   }
-  if (patchable_scenarios > 0) ensure_patch_records(cost_delay, cost_tput, *base);
+  if (patch) ensure_patch_records(cost_delay, cost_tput, *base);
   return base;
 }
 
@@ -525,23 +436,23 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
 
   bool patched = false;
   if (base != nullptr && incremental_eligible(scenario)) {
-    if (scenario.kind == FailureScenario::Kind::kNone && base->has_delay_base) {
+    if (scenario.kind == FailureScenario::Kind::kNone) {
       if (stats != nullptr) ++stats->scenarios_served_none;
       return serve_none_from_base(*base, detail);
     }
-    if (incremental_patchable(scenario) && base->has_records) {
+    if (incremental_patchable(scenario)) {
       // One compound representation internally: every patchable kind —
       // kLink, kLinkPair, kCompound — collects its dead arcs through the
       // same element dispatch and rides the same multi-arc delta update.
+      // The caller's acquire_base materialized the base's replay records.
       s.removed.clear();
       for_each_failed_arc(graph_, scenario, [&](ArcId a) { s.removed.push_back(a); });
-      const double fraction = config_.incremental_max_affected_fraction;
       s.delay_routing.compute_from_base(graph_, cost_delay, traffic_.delay, base->delay,
-                                        base->delay_record, s.removed, s.mask, fraction,
-                                        s.failure);
+                                        base->delay_record, s.removed, s.mask,
+                                        kIncrementalMaxAffectedFraction, s.failure);
       s.tput_routing.compute_from_base(graph_, cost_tput, traffic_.throughput,
                                        base->tput, base->tput_record, s.removed, s.mask,
-                                       fraction, s.failure);
+                                       kIncrementalMaxAffectedFraction, s.failure);
       patched = true;
     }
   }
@@ -550,11 +461,12 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
     s.tput_routing.compute(graph_, cost_tput, traffic_.throughput, s.mask, skip);
   }
 
-  EvalResult result = finish_scenario(cost_delay, skip, detail, s, patched, base);
+  EvalResult result = finish_scenario(cost_delay, skip, detail, s);
   if (stats != nullptr) {
     if (patched) {
       ++stats->scenarios_patched;
       stats->patch.merge(s.failure.stats());
+      stats->patch.delay_cols_recomputed += graph_.num_nodes();
     } else {
       ++stats->scenarios_full;
     }
@@ -564,8 +476,7 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
 
 EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
                                       std::span<const NodeId> skip, EvalDetail detail,
-                                      Scratch& s, bool patched,
-                                      const IncrementalBase* base) const {
+                                      Scratch& s) const {
   const ClassRouting& delay_routing = s.delay_routing;
   const ClassRouting& tput_routing = s.tput_routing;
 
@@ -585,19 +496,10 @@ EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
 
   EvalResult result;
 
-  // Lambda: SLA cost over delay-class SD pairs. A patched routing with a
-  // delay-DP base skips the DP for destinations whose recorded inputs are
-  // bitwise unchanged (same float terms, same order as the full DP).
+  // Lambda: SLA cost over delay-class SD pairs.
   std::vector<double>& sd_delay = s.sd_delay;
-  if (patched && base->has_dp_index) {
-    delay_routing.end_to_end_delays_from_base(
-        graph_, cost_delay, s.mask, arc_delay, traffic_.delay, params_.sla_delay_mode,
-        base->arc_delay, base->sd_delay, base->dp_index, s.failure, sd_delay);
-  } else {
-    delay_routing.end_to_end_delays(graph_, cost_delay, s.mask, arc_delay,
-                                    traffic_.delay, params_.sla_delay_mode, skip,
-                                    sd_delay);
-  }
+  delay_routing.end_to_end_delays(graph_, cost_delay, s.mask, arc_delay, traffic_.delay,
+                                  params_.sla_delay_mode, skip, sd_delay);
   const double disconnect_delay =
       params_.sla.theta_ms + params_.disconnect_delay_excess_ms;
   const SlaAggregate sla = accumulate_sla_cost(sd_delay, params_.sla, disconnect_delay);
@@ -646,7 +548,7 @@ EvalResult Evaluator::evaluate_with_labels(const WeightSetting& w,
                                       labels.delay);
   s.tput_routing.compute_with_labels(graph_, s.cost_tput, traffic_.throughput, s.mask,
                                      labels.tput);
-  return finish_scenario(s.cost_delay, {}, detail, s, /*patched=*/false, nullptr);
+  return finish_scenario(s.cost_delay, {}, detail, s);
 }
 
 std::vector<EvalResult> Evaluator::evaluate_failures(
@@ -660,13 +562,10 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
   w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
   w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
 
-  const auto eligible =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_eligible);
-  const auto patchable =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_patchable);
-  const std::shared_ptr<const IncrementalBase> base =
-      acquire_base(w, cost_delay, cost_tput, static_cast<std::size_t>(eligible),
-                   static_cast<std::size_t>(patchable));
+  const std::shared_ptr<const IncrementalBase> base = acquire_base(
+      w, cost_delay, cost_tput,
+      std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible),
+      std::any_of(scenarios.begin(), scenarios.end(), incremental_patchable));
   const IncrementalBase* base_ptr = base.get();
 
   // Per-index stats slabs mirror the per-index result slots: each scenario's
@@ -712,9 +611,9 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
   // ride the incremental path is independent of the execution shape.
   std::vector<const IncrementalBase*> job_base(jobs.size(), nullptr);
   std::vector<std::shared_ptr<const IncrementalBase>> held;  // keeps bases alive
-  if (config_.incremental && !jobs.empty()) {
+  if (cache_ != nullptr && !jobs.empty()) {
     std::vector<const WeightSetting*> distinct;
-    std::vector<std::size_t> patchable;
+    std::vector<std::uint8_t> patchable;
     std::vector<std::size_t> group(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       std::size_t d = 0;
@@ -724,7 +623,7 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
         patchable.push_back(0);
       }
       group[i] = d;
-      if (incremental_patchable(jobs[i].scenario)) ++patchable[d];
+      if (incremental_patchable(jobs[i].scenario)) patchable[d] = 1;
     }
 
     std::vector<double> cost_delay, cost_tput;
@@ -733,8 +632,8 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
       const WeightSetting& w = *distinct[d];
       w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
       w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
-      if (auto base = acquire_base(w, cost_delay, cost_tput, patchable[d],
-                                   patchable[d])) {
+      if (auto base = acquire_base(w, cost_delay, cost_tput, patchable[d] != 0,
+                                   patchable[d] != 0)) {
         group_base[d] = base.get();
         held.push_back(std::move(base));
       }
@@ -812,13 +711,10 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
   w.arc_costs(graph_, TrafficClass::kDelay, cost_delay);
   w.arc_costs(graph_, TrafficClass::kThroughput, cost_tput);
 
-  const auto eligible =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_eligible);
-  const auto patchable =
-      std::count_if(scenarios.begin(), scenarios.end(), incremental_patchable);
-  const std::shared_ptr<const IncrementalBase> base =
-      acquire_base(w, cost_delay, cost_tput, static_cast<std::size_t>(eligible),
-                   static_cast<std::size_t>(patchable));
+  const std::shared_ptr<const IncrementalBase> base = acquire_base(
+      w, cost_delay, cost_tput,
+      std::any_of(scenarios.begin(), scenarios.end(), incremental_eligible),
+      std::any_of(scenarios.begin(), scenarios.end(), incremental_patchable));
   const IncrementalBase* base_ptr = base.get();
 
   // Per-scenario terms the ordered accumulation consumes: costs plus the SLA
@@ -834,7 +730,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
   // the aborting term (accumulate counts it in scenarios_evaluated before
   // the bound check) but never the parallel round's post-abort overshoot,
   // which the sequential sweep would not have evaluated. That keeps the
-  // published counters identical for any worker count or chunk size.
+  // published counters identical for any worker count.
   telemetry::Registry* reg = telemetry::effective(config_.telemetry);
   EvalStats agg;
   const auto finish = [&]() -> SweepResult {
@@ -863,8 +759,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
     return finish();
   }
 
-  const std::size_t workers = pool->num_workers();
-  const std::size_t round = workers * std::max<std::size_t>(1, options.chunk_size);
+  const std::size_t round = pool->num_workers();
   std::vector<Term> chunk(round);
   for (std::size_t begin = 0; begin < scenarios.size(); begin += round) {
     const std::size_t count = std::min(round, scenarios.size() - begin);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -38,61 +39,45 @@ struct EvalParams {
 /// figures need.
 enum class EvalDetail : std::uint8_t { kCostsOnly, kFull };
 
-/// Execution knobs for the incremental (delta-SPF) failure-evaluation fast
-/// path. Separate from the cost-model EvalParams: these change HOW results
-/// are computed, never WHAT — both paths produce bit-identical results
-/// (test-enforced), so every incremental artifact can be cross-checked by
-/// flipping `incremental` off.
+/// LRU bound on the evaluator's cached base records. Sized for the
+/// optimizer's working set: the incumbent plus one batch of speculative
+/// Phase-1 probes.
+inline constexpr std::size_t kBaseCacheCapacity = 16;
+
+/// A base-cache miss whose weights differ from a cached base on at most this
+/// many links (either class) is delta-patched from that donor instead of
+/// rebuilt with full Dijkstras. One link is the Phase-1 probe shape: probes
+/// perturb ONE link's weights off the incumbent.
+inline constexpr std::size_t kWeightDeltaMaxLinks = 1;
+
+/// Per-destination delta-SPF fallback: when a patch would invalidate more
+/// than this fraction of one destination's distance labels, that destination
+/// is recomputed with a full Dijkstra — past this point the delta
+/// bookkeeping stops paying for itself.
+inline constexpr double kIncrementalMaxAffectedFraction = 0.25;
+
+/// Execution options of an Evaluator. Separate from the cost-model
+/// EvalParams: these change HOW results are computed, never WHAT — both
+/// settings of `incremental` produce bit-identical results (test-enforced),
+/// so every incremental artifact can be cross-checked by flipping it off.
 struct EvaluatorConfig {
-  /// Batched link-failure evaluation (evaluate_failures / sweep /
-  /// sweep_detailed) computes one shared no-failure base routing per call
-  /// and patches each arc-removal scenario from it: distance labels are
-  /// delta-updated per destination and untouched destinations replay their
-  /// recorded load contributions instead of re-aggregating. This covers
-  /// single links, link pairs, AND links-only compound scenarios (SRLGs,
-  /// k-link failures) — any number of removed arcs flows through the same
-  /// multi-arc delta-SPF + replay path. Scenarios that fail nodes always
-  /// take the full path (their skip semantics change the demand set, not
-  /// just arcs). Master switch: the two caches below only engage when this
-  /// is on.
+  /// The incremental path. A weights-keyed LRU cache (kBaseCacheCapacity
+  /// entries, keys compared by VALUE) holds one base record per weight
+  /// vector: both class routings plus the no-failure loads, arc delays,
+  /// end-to-end delays and aggregated costs. A no-failure evaluate() builds
+  /// and caches it, so the sweeps / failure evaluations the optimizer issues
+  /// for the SAME weights reuse it. The replay records are materialized
+  /// LAZILY, on the first call that patches a failure from the base, so
+  /// Phase-1 probes whose bases are evicted unused never pay for them.
+  /// Arc-removal scenarios — single links, link pairs, links-only compound
+  /// scenarios — patch from the base: distance labels are delta-updated per
+  /// destination and untouched destinations replay their recorded load
+  /// contributions. Scenarios that fail nodes take the full path (their skip
+  /// semantics change the demand set, not just arcs). A miss within
+  /// kWeightDeltaMaxLinks of a cached base is delta-patched from it.
+  /// `false` is the reference oracle: a full recompute per evaluation, no
+  /// cache.
   bool incremental = true;
-  /// Per-destination fallback: when a failure invalidates more than this
-  /// fraction of one destination's distance labels, that destination is
-  /// recomputed with a full Dijkstra — past this point the delta bookkeeping
-  /// stops paying for itself.
-  double incremental_max_affected_fraction = 0.25;
-  /// Weights-keyed LRU cache of base-routing records across calls. A
-  /// no-failure evaluate() builds and caches the base (routings + no-failure
-  /// products), so the sweep / evaluate_failures / single-failure evaluate()
-  /// calls the optimizer issues for the SAME weight vector reuse one record
-  /// instead of recomputing the full Dijkstra + aggregation per call. The
-  /// patch-only machinery (replay CSRs + delay-DP index) is materialized
-  /// LAZILY on the first call that actually patches a failure from the
-  /// record, so Phase-1 probes that build a base which is evicted unused
-  /// never pay the recording cost. Keys are compared by VALUE (the whole
-  /// weight vector), so mutating a caller's WeightSetting can never serve a
-  /// stale record.
-  bool base_routing_cache = true;
-  /// LRU bound on cached base records. Sized for the optimizer's working
-  /// set: the incumbent plus one batch of speculative Phase-1 probes.
-  std::size_t base_cache_capacity = 16;
-  /// Incremental end-to-end delay DP: the base records a dirty-arc index
-  /// (which destinations' DPs read which arc's delay); a patched scenario
-  /// marks the destinations whose DAG changed or whose recorded arc delays
-  /// are not bitwise identical to the base, runs the DP for those only, and
-  /// replays the base's delay column for the rest — bit-identical by
-  /// construction (same float terms, same order).
-  bool incremental_delay = true;
-  /// Weight-delta donor patching: when a base-cache miss finds another cached
-  /// base whose weight vector differs on at most this many links (either
-  /// class), the new base's routings — labels, DAGs, loads, delay columns —
-  /// are delta-patched from that donor (delta_spf_update_arcs + record
-  /// replay) instead of rebuilt with full Dijkstras. Bit-identical to a
-  /// scratch build by the same argument as the failure patch path, so cache
-  /// contents stay pure acceleration state. This is the Phase-1 probe
-  /// accelerator: probes perturb ONE link's weights off the incumbent. 0
-  /// disables; only engages with incremental + base_routing_cache on.
-  std::size_t weight_delta_max_links = 1;
   /// Optional telemetry sink (borrowed; may be null). The BATCH entry points
   /// (evaluate_failures, evaluate_costs, sweep) fold their deterministic
   /// counters into it, aggregated per-scenario-slot and merged on the calling
@@ -114,7 +99,7 @@ struct EvaluatorCacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   /// Cache misses whose base was delta-patched from a donor entry (a cached
-  /// base differing on <= weight_delta_max_links links) instead of rebuilt
+  /// base differing on <= kWeightDeltaMaxLinks links) instead of rebuilt
   /// with full Dijkstras.
   std::uint64_t weight_patched = 0;
   /// Total arc-cost-change entries applied by those donor patches (both
@@ -130,7 +115,7 @@ struct EvalStats {
   std::uint64_t scenarios_patched = 0;      ///< rode the delta-SPF patch path
   std::uint64_t scenarios_full = 0;         ///< full per-scenario recompute
   std::uint64_t scenarios_served_none = 0;  ///< no-failure served from base
-  PatchStats patch;                         ///< delta-SPF / replay / delay-DP detail
+  PatchStats patch;                         ///< delta-SPF / replay / delay-DP work
 
   void merge(const EvalStats& o);
 };
@@ -188,9 +173,8 @@ struct SweepResult {
   CostPair cost() const { return {lambda, phi}; }
 };
 
-/// Options of Evaluator::sweep, replacing its historical positional tail
-/// (abort_bound, scenario_weights, pool, chunk_size). Spans and pointers are
-/// borrowed — they must outlive the call, not the options object.
+/// Options of Evaluator::sweep. Spans and pointers are borrowed — they must
+/// outlive the call, not the options object.
 struct SweepOptions {
   /// Early-abort bound: the sweep stops as soon as the partial sums are
   /// lexicographically worse (sound because per-scenario terms are
@@ -203,15 +187,12 @@ struct SweepOptions {
   /// Early abort stays sound since weighted terms remain non-negative.
   std::span<const double> scenario_weights = {};
   /// When given (and > 1 worker), scenarios are evaluated in parallel rounds
-  /// of `chunk_size * workers` while sums accumulate in scenario order with
+  /// of one scenario per worker while sums accumulate in scenario order with
   /// the abort bound checked after every term — so the returned SweepResult
   /// (sums, aborted flag AND scenarios_evaluated) is bit-identical to the
-  /// sequential sweep for any worker count or chunk size; parallelism only
-  /// costs up to one round of wasted evaluations past an abort point.
+  /// sequential sweep for any worker count; parallelism only costs up to one
+  /// round of wasted evaluations past an abort point.
   ThreadPool* pool = nullptr;
-  /// Round fan-out per worker; trades parallelism against post-abort waste
-  /// (default 1 = the historical one-scenario-per-worker rounds).
-  std::size_t chunk_size = 1;
   /// Reinterprets `abort_bound` for the expected-downtime objective: the
   /// lexicographic abort comparison runs on (violations, phi) instead of
   /// (lambda, phi) — abort_bound->lambda bounds the weighted violation sum.
@@ -288,11 +269,11 @@ class Evaluator {
   /// Number of SD pairs with positive delay-class demand.
   std::size_t delay_demand_pairs() const { return delay_pairs_; }
 
-  /// Snapshot of the base-routing cache counters (all zero when the cache is
-  /// disabled). Thread-safe.
+  /// Snapshot of the base-routing cache counters (all zero when
+  /// config().incremental is off). Thread-safe.
   EvaluatorCacheStats base_cache_stats() const;
 
-  /// Cached base records currently held (<= base_cache_capacity).
+  /// Cached base records currently held (<= kBaseCacheCapacity).
   std::size_t base_cache_size() const;
 
   /// Drops every cached base record (counters survive). The cache keys on
@@ -308,7 +289,7 @@ class Evaluator {
   /// on the execution shape (LRU survivor sets, speculative lookups), so they
   /// never enter the deterministic plane. The evaluator's owner calls this
   /// exactly once, when done with it — repeated flushes would double-count.
-  /// No-op when telemetry is disabled, unset, or the cache is off.
+  /// No-op when telemetry is disabled or unset, or incremental is off.
   void flush_cache_stats_to_telemetry() const;
 
  private:
@@ -327,11 +308,10 @@ class Evaluator {
     FailureScratch failure;
   };
 
-  /// Shared no-failure base for the incremental path: both class routings
-  /// plus their replay records, and (when the delay DP / cache want it) the
-  /// no-failure loads, arc delays, delay-DP output + dirty-arc index, and
-  /// aggregated costs. Built once (per batch call, or once per weight vector
-  /// when cached) on one thread, then read concurrently by every worker.
+  /// Cached no-failure base of the incremental path: both class routings,
+  /// the no-failure loads, arc delays, end-to-end delays and aggregated
+  /// costs, plus the lazily recorded replay records. Built once per weight
+  /// vector on one thread, then read concurrently by every worker.
   struct IncrementalBase;
 
   /// Weights-keyed LRU cache of shared_ptr'd IncrementalBase records
@@ -350,66 +330,51 @@ class Evaluator {
                            EvalStats* stats = nullptr) const;
 
   /// Everything downstream of the two class routings sitting in `scratch`:
-  /// total loads, arc delays, the SLA delay path (incremental when `patched`
-  /// and the base carries a DP index), cost aggregation, and the kFull
-  /// detail. Shared by evaluate_impl and evaluate_with_labels so the float
-  /// operations are literally the same code.
+  /// total loads, arc delays, the end-to-end delay DP, cost aggregation, and
+  /// the kFull detail. Shared by evaluate_impl and evaluate_with_labels so
+  /// the float operations are literally the same code.
   EvalResult finish_scenario(std::span<const double> cost_delay,
                              std::span<const NodeId> skip, EvalDetail detail,
-                             Scratch& s, bool patched,
-                             const IncrementalBase* base) const;
+                             Scratch& s) const;
 
-  /// Builds the no-failure base for these arc costs: both routings, plus the
-  /// delay-DP base (loads, delays, sd_delay, aggregated no-failure costs)
-  /// when `with_delay_base`. With `with_records` the replay CSRs and the
-  /// dirty-arc delay-DP index are recorded inline (the uncached path, which
-  /// patches immediately); without, they are left for ensure_patch_records
-  /// to materialize on first reuse.
+  /// Builds the no-failure base for these arc costs from scratch: both
+  /// routings with full Dijkstras, then the no-failure products. The replay
+  /// records are left for ensure_patch_records.
   void build_base(std::span<const double> cost_delay, std::span<const double> cost_tput,
-                  IncrementalBase& base, bool with_delay_base, bool with_records) const;
+                  IncrementalBase& base) const;
 
   /// Builds a base by delta-patching a donor base whose weights differ on at
-  /// most weight_delta_max_links links: both routings run
-  /// compute_from_weight_delta from the donor's labels + replay records, the
-  /// delay columns replay the donor's via the dirty-arc index, and the
-  /// no-failure products/aggregates are derived by the same shared helpers as
-  /// build_base — bit-identical to a scratch build. Returns false (built
-  /// untouched) when the donor cannot serve. Records of the NEW base stay
-  /// lazy (ensure_patch_records).
-  bool build_base_from_donor(const WeightSetting& w, const WeightSetting& donor_key,
+  /// most kWeightDeltaMaxLinks links: both routings run
+  /// compute_from_weight_delta from the donor's labels + replay records, then
+  /// the no-failure products are derived as in build_base — bit-identical to
+  /// a scratch build. Records of the NEW base stay lazy.
+  void build_base_from_donor(const WeightSetting& w, const WeightSetting& donor_key,
                              const IncrementalBase& donor,
                              std::span<const double> cost_delay,
                              std::span<const double> cost_tput,
                              IncrementalBase& built) const;
 
-  /// No-failure total loads + arc delays of a base whose routings are done.
-  void compute_base_products(IncrementalBase& base) const;
+  /// No-failure products of a base whose routings are done: total loads,
+  /// arc delays, end-to-end delays, and the aggregated costs (SLA over
+  /// base.sd_delay — mutating it in place like every evaluation does — plus
+  /// the Fortz sum) in base.none_result.
+  void finish_base(std::span<const double> cost_delay, IncrementalBase& base) const;
 
-  /// No-failure cost aggregation (SLA over base.sd_delay — mutating it in
-  /// place like every evaluation does — plus the Fortz sum) into
-  /// base.none_result. Requires products + sd_delay.
-  void aggregate_none_result(IncrementalBase& base) const;
-
-  /// Materializes the patch-only machinery of a lazily built base — the
-  /// replay CSRs and (when the delay DP is on) the dirty-arc index — by
-  /// re-running the deterministic base computation with recording enabled.
-  /// Thread-safe (call_once); a no-op when the base already carries records.
+  /// Materializes the replay records of a lazily built base by re-running
+  /// the load sweeps over its existing labels with recording enabled.
+  /// Thread-safe (call_once); a no-op after the first call.
   void ensure_patch_records(std::span<const double> cost_delay,
                             std::span<const double> cost_tput,
                             const IncrementalBase& base) const;
 
-  /// Returns the base record to patch from, or nullptr when the incremental
-  /// path is off / cannot pay for itself. Consults the cache first (hit =
-  /// free reuse); on a miss, builds when at least one eligible scenario
-  /// amortizes the build (cache on: >= 1, since the record is kept for later
-  /// calls; cache off: >= 2, the build costs about one full evaluation).
-  /// `eligible_scenarios` = 0 means "find only, never build".
-  /// `patchable_scenarios` > 0 additionally guarantees the returned base
-  /// carries patch records (ensure_patch_records has run).
-  std::shared_ptr<const IncrementalBase> acquire_base(
-      const WeightSetting& w, std::span<const double> cost_delay,
-      std::span<const double> cost_tput, std::size_t eligible_scenarios,
-      std::size_t patchable_scenarios) const;
+  /// Returns the cached base record for `w`, or nullptr when incremental is
+  /// off. On a miss, builds (and caches) the base only when `build` is set —
+  /// otherwise returns nullptr. With `patch`, the returned base also carries
+  /// its replay records (ensure_patch_records has run).
+  std::shared_ptr<const IncrementalBase> acquire_base(const WeightSetting& w,
+                                                      std::span<const double> cost_delay,
+                                                      std::span<const double> cost_tput,
+                                                      bool build, bool patch) const;
 
   /// No-failure evaluation served from a cached base: returns the stored
   /// aggregate (and rebuilds the kFull detail vectors from the stored
@@ -426,10 +391,9 @@ class Evaluator {
   EvaluatorConfig config_;
   double phi_uncap_ = 0.0;
   std::size_t delay_pairs_ = 0;
-  /// Non-null iff config_.incremental && config_.base_routing_cache. The
-  /// pointer is set once in the constructor; the cache itself is internally
-  /// synchronized, so const evaluation entry points may touch it from any
-  /// thread.
+  /// Non-null iff config_.incremental. The pointer is set once in the
+  /// constructor; the cache itself is internally synchronized, so const
+  /// evaluation entry points may touch it from any thread.
   std::unique_ptr<BaseCache> cache_;
 };
 

@@ -28,7 +28,6 @@ void PatchStats::merge(const PatchStats& o) {
   dests_replayed += o.dests_replayed;
   affected_nodes += o.affected_nodes;
   boundary_seeds += o.boundary_seeds;
-  delay_cols_replayed += o.delay_cols_replayed;
   delay_cols_recomputed += o.delay_cols_recomputed;
   for (std::size_t i = 0; i < affected_buckets.size(); ++i)
     affected_buckets[i] += o.affected_buckets[i];
@@ -128,7 +127,6 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   dist_.resize(n);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
-  replayed_.clear();  // not a patched routing
   if (record != nullptr) record->reset(n);
 
   for (NodeId t = 0; t < n; ++t) {
@@ -277,7 +275,6 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
   dist_.resize(n);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
-  replayed_.assign(n, 0);
 
   const std::size_t cap =
       max_affected_fraction >= 1.0
@@ -324,7 +321,6 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
         arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
       disconnected_ += record.disconnected[t];
       disconnected_volume_ += record.disconnected_volume[t];
-      replayed_[t] = 1;
       ++scratch.stats_.dests_replayed;
     }
   }
@@ -349,7 +345,6 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
   dist_.resize(n);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
-  replayed_.assign(n, 0);
 
   const std::size_t cap =
       max_affected_fraction >= 1.0
@@ -401,7 +396,6 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
         arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
       disconnected_ += record.disconnected[t];
       disconnected_volume_ += record.disconnected_volume[t];
-      replayed_[t] = 1;
       ++scratch.stats_.dests_replayed;
     }
   }
@@ -422,7 +416,6 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
   dist_.resize(n);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
-  replayed_.clear();  // not a patched routing
 
   for (NodeId t = 0; t < n; ++t) {
     if (labels[t].size() != n)
@@ -433,126 +426,66 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
   }
 }
 
-void ClassRouting::delay_dp_destination(const Graph& g, std::span<const double> arc_cost,
-                                        ArcAliveMask alive_mask,
-                                        std::span<const double> arc_delay_ms,
-                                        const TrafficMatrix& demands, SlaDelayMode mode,
-                                        std::span<const NodeId> skip_nodes, NodeId t,
-                                        std::vector<double>& node_delay,
-                                        std::vector<NodeId>& order,
-                                        std::vector<double>& out,
-                                        DelayDpIndex* record) const {
-  const std::size_t n = g.num_nodes();
-  const auto& dist = dist_[t];
-
-  bool any_demand = false;
-  for (NodeId s = 0; s < n && !any_demand; ++s)
-    any_demand = (s != t && !is_skipped(skip_nodes, s) && demands.at(s, t) > 0.0);
-  if (!any_demand) return;
-
-  // DP over the shortest-path DAG in increasing distance order:
-  //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
-  //   worst:    W[u] = max_a (D_a + W[dst_a])
-  order.clear();
-  for (NodeId u = 0; u < n; ++u)
-    if (dist[u] != kInfDist) order.push_back(u);
-  std::sort(order.begin(), order.end(),
-            [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
-
-  const GraphCsr& csr = g.csr();
-  std::fill(node_delay.begin(), node_delay.end(), 0.0);
-  for (NodeId u : order) {
-    if (u == t) continue;
-    int tight_count = 0;
-    double acc = (mode == SlaDelayMode::kWorstPath) ? -kInfDist : 0.0;
-    for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
-      const ArcId a = csr.out_arc[k];
-      const NodeId v = csr.out_head[k];
-      if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
-      ++tight_count;
-      if (record != nullptr) record->add(t, a);
-      const double through = arc_delay_ms[a] + node_delay[v];
-      if (mode == SlaDelayMode::kWorstPath) {
-        acc = std::max(acc, through);
-      } else {
-        acc += through;
-      }
-    }
-    node_delay[u] = (mode == SlaDelayMode::kWorstPath)
-                        ? acc
-                        : (tight_count > 0 ? acc / tight_count : 0.0);
-  }
-
-  for (NodeId s = 0; s < n; ++s) {
-    if (s == t || is_skipped(skip_nodes, s)) continue;
-    if (demands.at(s, t) <= 0.0) continue;
-    out[static_cast<std::size_t>(s) * n + t] =
-        (dist[s] == kInfDist) ? kInfDist : node_delay[s];
-  }
-}
-
 void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                                      ArcAliveMask alive_mask,
                                      std::span<const double> arc_delay_ms,
                                      const TrafficMatrix& demands, SlaDelayMode mode,
                                      std::span<const NodeId> skip_nodes,
-                                     std::vector<double>& out,
-                                     DelayDpIndex* record) const {
+                                     std::vector<double>& out) const {
   const std::size_t n = g.num_nodes();
   if (arc_delay_ms.size() != g.num_arcs())
     throw std::invalid_argument("end_to_end_delays: arc_delay size mismatch");
   out.assign(n * n, -1.0);
-  if (record != nullptr) record->reset(g.num_arcs());
 
+  const GraphCsr& csr = g.csr();
   std::vector<double> node_delay(n);
   std::vector<NodeId> order(n);
 
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) continue;
-    delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode,
-                         skip_nodes, t, node_delay, order, out, record);
-  }
-  if (record != nullptr) record->finalize();
-}
+    const auto& dist = dist_[t];
 
-void ClassRouting::end_to_end_delays_from_base(
-    const Graph& g, std::span<const double> arc_cost, ArcAliveMask alive_mask,
-    std::span<const double> arc_delay_ms, const TrafficMatrix& demands,
-    SlaDelayMode mode, std::span<const double> base_arc_delay_ms,
-    std::span<const double> base_sd_delay_ms, const DelayDpIndex& index,
-    FailureScratch& scratch, std::vector<double>& out) const {
-  const std::size_t n = g.num_nodes();
-  if (arc_delay_ms.size() != g.num_arcs())
-    throw std::invalid_argument("end_to_end_delays_from_base: arc_delay size mismatch");
-  if (base_sd_delay_ms.size() != n * n)
-    throw std::invalid_argument("end_to_end_delays_from_base: base delay size mismatch");
-  if (replayed_.size() != n)
-    throw std::logic_error(
-        "end_to_end_delays_from_base: routing was not patched from a base");
+    bool any_demand = false;
+    for (NodeId s = 0; s < n && !any_demand; ++s)
+      any_demand = (s != t && !is_skipped(skip_nodes, s) && demands.at(s, t) > 0.0);
+    if (!any_demand) continue;
 
-  out.assign(n * n, -1.0);
+    // DP over the shortest-path DAG in increasing distance order:
+    //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
+    //   worst:    W[u] = max_a (D_a + W[dst_a])
+    order.clear();
+    for (NodeId u = 0; u < n; ++u)
+      if (dist[u] != kInfDist) order.push_back(u);
+    std::sort(order.begin(), order.end(),
+              [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
 
-  // Dirty destinations: every destination whose DAG changed (re-swept by
-  // compute_from_base), plus — via the dirty-arc index — every destination
-  // whose DP reads an arc whose delay is not bitwise identical to the base.
-  scratch.dirty_.assign(n, 0);
-  mark_dirty_destinations(index, base_arc_delay_ms, arc_delay_ms, scratch.dirty_);
+    std::fill(node_delay.begin(), node_delay.end(), 0.0);
+    for (NodeId u : order) {
+      if (u == t) continue;
+      int tight_count = 0;
+      double acc = (mode == SlaDelayMode::kWorstPath) ? -kInfDist : 0.0;
+      for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
+        const ArcId a = csr.out_arc[k];
+        const NodeId v = csr.out_head[k];
+        if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
+        ++tight_count;
+        const double through = arc_delay_ms[a] + node_delay[v];
+        if (mode == SlaDelayMode::kWorstPath) {
+          acc = std::max(acc, through);
+        } else {
+          acc += through;
+        }
+      }
+      node_delay[u] = (mode == SlaDelayMode::kWorstPath)
+                          ? acc
+                          : (tight_count > 0 ? acc / tight_count : 0.0);
+    }
 
-  scratch.node_delay_.resize(n);
-  for (NodeId t = 0; t < n; ++t) {
-    if (replayed_[t] && !scratch.dirty_[t]) {
-      // Clean destination: the DP would consume the exact distance labels,
-      // tight-arc set, and arc delays the base DP consumed, so its output
-      // column is replayed verbatim (removed arcs were not tight here, and
-      // both paths skip them before any accumulation).
-      for (NodeId s = 0; s < n; ++s)
-        out[static_cast<std::size_t>(s) * n + t] =
-            base_sd_delay_ms[static_cast<std::size_t>(s) * n + t];
-      ++scratch.stats_.delay_cols_replayed;
-    } else {
-      delay_dp_destination(g, arc_cost, alive_mask, arc_delay_ms, demands, mode, {}, t,
-                           scratch.node_delay_, scratch.order_, out, nullptr);
-      ++scratch.stats_.delay_cols_recomputed;
+    for (NodeId s = 0; s < n; ++s) {
+      if (s == t || is_skipped(skip_nodes, s)) continue;
+      if (demands.at(s, t) <= 0.0) continue;
+      out[static_cast<std::size_t>(s) * n + t] =
+          (dist[s] == kInfDist) ? kInfDist : node_delay[s];
     }
   }
 }

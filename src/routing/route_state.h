@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "cost/delay_model.h"
 #include "graph/graph.h"
 #include "graph/spf.h"
 #include "traffic/traffic_matrix.h"
@@ -50,10 +49,11 @@ inline constexpr std::array<std::uint64_t, 11> kAffectedBucketBounds = {
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 
 /// Deterministic per-call counters of the incremental failure path,
-/// accumulated by compute_from_base / end_to_end_delays_from_base into the
-/// worker's FailureScratch. Every field is a pure function of graph + costs +
-/// scenario (never of the execution shape), so callers may fold these into
-/// the deterministic telemetry plane.
+/// accumulated by compute_from_base into the worker's FailureScratch (the
+/// evaluator adds the delay-DP column count of each patched scenario). Every
+/// field is a pure function of graph + costs + scenario (never of the
+/// execution shape), so callers may fold these into the deterministic
+/// telemetry plane.
 struct PatchStats {
   std::uint64_t dests_delta = 0;          ///< destinations patched by delta-SPF
   std::uint64_t dests_full_fallback = 0;  ///< delta overflow -> full Dijkstra
@@ -61,8 +61,7 @@ struct PatchStats {
   std::uint64_t dests_replayed = 0;       ///< untouched DAG -> record replay
   std::uint64_t affected_nodes = 0;       ///< total delta-recomputed labels
   std::uint64_t boundary_seeds = 0;       ///< total phase-2 Dijkstra seeds
-  std::uint64_t delay_cols_replayed = 0;  ///< delay DP columns copied verbatim
-  std::uint64_t delay_cols_recomputed = 0;
+  std::uint64_t delay_cols_recomputed = 0;  ///< delay DP columns run
   /// Pre-binned affected-region sizes (kAffectedBucketBounds + overflow).
   std::array<std::uint64_t, kAffectedBucketBounds.size() + 1> affected_buckets{};
 
@@ -74,10 +73,9 @@ struct PatchStats {
 };
 
 /// Reusable per-worker scratch for ClassRouting::compute_from_base and
-/// end_to_end_delays_from_base (delta-SPF buffers plus the incremental delay
-/// DP's dirty bitmap and per-destination DP buffers). One instance per worker
-/// thread, reused across scenario evaluations to keep the incremental hot
-/// path allocation-free.
+/// compute_from_weight_delta (delta-SPF buffers plus the patch counters). One
+/// instance per worker thread, reused across scenario evaluations to keep the
+/// incremental hot path allocation-free.
 class FailureScratch {
  public:
   FailureScratch() = default;
@@ -91,9 +89,6 @@ class FailureScratch {
  private:
   friend class ClassRouting;
   DeltaSpfScratch spf_;
-  std::vector<std::uint8_t> dirty_;
-  std::vector<double> node_delay_;
-  std::vector<NodeId> order_;
   PatchStats stats_;
 };
 
@@ -205,47 +200,15 @@ class ClassRouting {
   std::size_t disconnected_demand_count() const { return disconnected_; }
   double disconnected_demand_volume() const { return disconnected_volume_; }
 
-  /// Per-destination replay outcome of the last compute_from_base: 1 where
-  /// the destination's DAG survived the failure untouched (loads were
-  /// replayed), 0 where it was re-swept. Empty unless this routing was
-  /// produced by compute_from_base — the incremental delay DP keys off it.
-  std::span<const std::uint8_t> replayed_destinations() const { return replayed_; }
-
   /// Per-SD-pair end-to-end delay xi(s,t) for this class's DAGs, given
   /// per-arc delays D_a (computed from TOTAL load across classes).
   /// out[s*n + t] = delay in ms; untouched entries are set to -1 (pairs with
   /// no demand). Disconnected pairs with demand get kInfDist.
-  ///
-  /// When `record` is given it is filled with the dirty-arc index (which
-  /// destinations read which arc's delay) that end_to_end_delays_from_base
-  /// consumes; the recording adds no float operations.
   void end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                          ArcAliveMask alive, std::span<const double> arc_delay_ms,
                          const TrafficMatrix& demands, SlaDelayMode mode,
-                         std::span<const NodeId> skip_nodes, std::vector<double>& out,
-                         DelayDpIndex* record = nullptr) const;
-
-  /// Incremental end-to-end delay DP for a routing produced by
-  /// compute_from_base under an arc-removal failure. Destinations whose DAG
-  /// survived (replayed) AND whose recorded DP inputs are bitwise unchanged
-  /// (`index` + base vs scenario arc delays) copy the base's delay column
-  /// verbatim; every other destination runs the normal per-destination DP.
-  /// Bit-identical to end_to_end_delays by construction: a skipped DP would
-  /// have consumed the exact same distance labels, tight-arc set, and arc
-  /// delays as the base DP that produced `base_sd_delay_ms`.
-  ///
-  /// `base_sd_delay_ms` / `base_arc_delay_ms` are the no-failure base's DP
-  /// output and per-arc delays; `index` was recorded by the base's
-  /// end_to_end_delays. Node-failure scenarios (skip semantics) are not
-  /// supported; use end_to_end_delays.
-  void end_to_end_delays_from_base(const Graph& g, std::span<const double> arc_cost,
-                                   ArcAliveMask alive,
-                                   std::span<const double> arc_delay_ms,
-                                   const TrafficMatrix& demands, SlaDelayMode mode,
-                                   std::span<const double> base_arc_delay_ms,
-                                   std::span<const double> base_sd_delay_ms,
-                                   const DelayDpIndex& index, FailureScratch& scratch,
-                                   std::vector<double>& out) const;
+                         std::span<const NodeId> skip_nodes,
+                         std::vector<double>& out) const;
 
  private:
   /// Seeds the demands toward `t` (counting its disconnected demand as a
@@ -273,23 +236,10 @@ class ClassRouting {
                               std::vector<double>& node_flow,
                               std::vector<NodeId>& order) const;
 
-  /// One destination's delay DP (demand check, increasing-distance order,
-  /// expected/worst accumulation). Shared by the full and incremental delay
-  /// paths so their per-destination float operations are literally the same
-  /// code. `node_delay` (size n) and `order` are caller scratch.
-  void delay_dp_destination(const Graph& g, std::span<const double> arc_cost,
-                            ArcAliveMask alive_mask,
-                            std::span<const double> arc_delay_ms,
-                            const TrafficMatrix& demands, SlaDelayMode mode,
-                            std::span<const NodeId> skip_nodes, NodeId t,
-                            std::vector<double>& node_delay, std::vector<NodeId>& order,
-                            std::vector<double>& out, DelayDpIndex* record) const;
-
   std::vector<double> arc_load_;
   std::vector<std::vector<double>> dist_;
   std::size_t disconnected_ = 0;
   double disconnected_volume_ = 0.0;
-  std::vector<std::uint8_t> replayed_;  ///< see replayed_destinations()
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;
   std::vector<NodeId> order_;

@@ -26,12 +26,11 @@ using test::TestInstance;
 TEST(BaseCacheTest, RepeatedSweepsReuseOneBase) {
   const TestInstance inst = make_test_instance(12, 4.0, 7);
   const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
-  const Evaluator uncached(inst.graph, inst.traffic, inst.params,
-                           {.base_routing_cache = false});
+  const Evaluator oracle(inst.graph, inst.traffic, inst.params, {.incremental = false});
   const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
   const WeightSetting w = random_weights(inst.graph, 30, 11);
 
-  const SweepResult reference = uncached.sweep(w, scenarios);
+  const SweepResult reference = oracle.sweep(w, scenarios);
   const SweepResult first = ev.sweep(w, scenarios);
   const EvaluatorCacheStats after_first = ev.base_cache_stats();
   EXPECT_EQ(after_first.insertions, 1u);
@@ -48,7 +47,7 @@ TEST(BaseCacheTest, RepeatedSweepsReuseOneBase) {
   EXPECT_EQ(reference.phi, first.phi);
   EXPECT_EQ(first.lambda, second.lambda);
   EXPECT_EQ(first.phi, second.phi);
-  EXPECT_EQ(normal.lambda, uncached.evaluate(w).lambda);
+  EXPECT_EQ(normal.lambda, oracle.evaluate(w).lambda);
 }
 
 TEST(BaseCacheTest, WeightMutationNeverServesStale) {
@@ -57,8 +56,7 @@ TEST(BaseCacheTest, WeightMutationNeverServesStale) {
   // the weights back must hit the original entry with identical bytes.
   const TestInstance inst = make_test_instance(10, 4.0, 13);
   const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
-  const Evaluator plain(inst.graph, inst.traffic, inst.params,
-                        {.incremental = false, .base_routing_cache = false});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
 
   WeightSetting w = random_weights(inst.graph, 30, 17);
   const EvalResult before = ev.evaluate(w, FailureScenario::none(), EvalDetail::kFull);
@@ -103,25 +101,29 @@ TEST(BaseCacheTest, TrafficChangeUsesSeparateCache) {
 
 TEST(BaseCacheTest, LruEvictionRespectsCapacityBound) {
   const TestInstance inst = make_test_instance(10, 4.0, 29);
-  const Evaluator ev(inst.graph, inst.traffic, inst.params,
-                     {.base_cache_capacity = 2});
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
 
-  for (std::uint64_t seed = 1; seed <= 5; ++seed)
+  // Random settings differ on many links, so none is donor-patched and each
+  // is its own entry.
+  const std::uint64_t keys = kBaseCacheCapacity + 3;
+  for (std::uint64_t seed = 1; seed <= keys; ++seed)
     ev.evaluate(random_weights(inst.graph, 30, seed));
-  EXPECT_LE(ev.base_cache_size(), 2u);
+  EXPECT_EQ(ev.base_cache_size(), kBaseCacheCapacity);
   const EvaluatorCacheStats stats = ev.base_cache_stats();
-  EXPECT_EQ(stats.insertions, 5u);
+  EXPECT_EQ(stats.insertions, keys);
   EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.weight_patched, 0u);
 
   // LRU: the most recent key must still be resident (a hit, no insertion).
-  ev.evaluate(random_weights(inst.graph, 30, 5));
-  EXPECT_EQ(ev.base_cache_stats().insertions, 5u);
+  ev.evaluate(random_weights(inst.graph, 30, keys));
+  EXPECT_EQ(ev.base_cache_stats().insertions, keys);
   EXPECT_GE(ev.base_cache_stats().hits, 1u);
 
   // The evicted oldest key re-inserts (and evicts again).
   ev.evaluate(random_weights(inst.graph, 30, 1));
-  EXPECT_EQ(ev.base_cache_stats().insertions, 6u);
-  EXPECT_LE(ev.base_cache_size(), 2u);
+  EXPECT_EQ(ev.base_cache_stats().insertions, keys + 1);
+  EXPECT_EQ(ev.base_cache_stats().evictions, 4u);
+  EXPECT_EQ(ev.base_cache_size(), kBaseCacheCapacity);
 }
 
 TEST(BaseCacheTest, ExplicitInvalidationDropsEntries) {
@@ -140,33 +142,17 @@ TEST(BaseCacheTest, ExplicitInvalidationDropsEntries) {
   EXPECT_EQ(ev.base_cache_stats().insertions, 2u);
 }
 
-TEST(BaseCacheTest, DisabledCacheKeepsCountersAtZero) {
-  const TestInstance inst = make_test_instance(10, 4.0, 41);
-  const Evaluator ev(inst.graph, inst.traffic, inst.params,
-                     {.base_routing_cache = false});
-  const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
-  const WeightSetting w = random_weights(inst.graph, 30, 43);
-  ev.evaluate(w);
-  ev.sweep(w, scenarios);
-  const EvaluatorCacheStats stats = ev.base_cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.insertions, 0u);
-  EXPECT_EQ(ev.base_cache_size(), 0u);
-}
-
 TEST(BaseCacheTest, ConcurrentSpeculativeEvaluationsStayConsistent) {
   // The LocalSearch speculative-scoring pattern: many threads evaluate
   // distinct candidates against one shared evaluator, racing on the cache.
-  // Every result must match the uncached evaluator bit for bit.
+  // Every result must match the full-recompute oracle bit for bit.
   const TestInstance inst = make_test_instance(12, 4.0, 47);
-  const Evaluator ev(inst.graph, inst.traffic, inst.params,
-                     {.base_cache_capacity = 4});
-  const Evaluator plain(inst.graph, inst.traffic, inst.params,
-                        {.incremental = false, .base_routing_cache = false});
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
 
+  // More candidates than the cache holds, so the racing threads also evict.
   std::vector<WeightSetting> candidates;
-  for (std::uint64_t seed = 100; seed < 124; ++seed)
+  for (std::uint64_t seed = 100; seed < 100 + 2 * kBaseCacheCapacity; ++seed)
     candidates.push_back(random_weights(inst.graph, 30, seed));
 
   ThreadPool pool(8);
@@ -187,7 +173,7 @@ TEST(BaseCacheTest, ConcurrentSpeculativeEvaluationsStayConsistent) {
     EXPECT_EQ(want.lambda, got[i].lambda);
     EXPECT_EQ(want.phi, got[i].phi);
   }
-  EXPECT_LE(ev.base_cache_size(), 4u);
+  EXPECT_LE(ev.base_cache_size(), kBaseCacheCapacity);
 }
 
 }  // namespace

@@ -136,44 +136,6 @@ TEST(SlaTest, AccumulateSkipsCapsAndCounts) {
   EXPECT_DOUBLE_EQ(delays[0], -1.0);   // no-demand entries untouched
 }
 
-// ----------------------------------------------- delay-DP dirty-arc index
-
-TEST(DelayDpIndexTest, MarksExactlyTheRecordedUsers) {
-  DelayDpIndex index;
-  index.reset(4);
-  // Destination 0 reads arcs 0 and 2; destination 1 reads arc 2; arc 1 and
-  // arc 3 have no users.
-  index.add(0, 0);
-  index.add(0, 2);
-  index.add(1, 2);
-  index.finalize();
-  ASSERT_TRUE(index.ready());
-  EXPECT_EQ(index.users(0).size(), 1u);
-  EXPECT_EQ(index.users(1).size(), 0u);
-  EXPECT_EQ(index.users(2).size(), 2u);
-
-  const std::vector<double> base{1.0, 2.0, 3.0, 4.0};
-  std::vector<std::uint8_t> dirty(3, 0);
-
-  // Arc 1 changes: nobody reads it, nothing dirty.
-  std::vector<double> now{1.0, 2.5, 3.0, 4.0};
-  mark_dirty_destinations(index, base, now, dirty);
-  EXPECT_EQ(dirty, (std::vector<std::uint8_t>{0, 0, 0}));
-
-  // Arc 2 changes: both its users go dirty; destination 2 never does.
-  now = {1.0, 2.0, 3.5, 4.0};
-  mark_dirty_destinations(index, base, now, dirty);
-  EXPECT_EQ(dirty, (std::vector<std::uint8_t>{1, 1, 0}));
-
-  // The comparison is bitwise: -0.0 vs 0.0 compares EQUAL under == but must
-  // still be treated as a change.
-  std::fill(dirty.begin(), dirty.end(), 0);
-  const std::vector<double> zero_base{0.0, 2.0, 3.0, 4.0};
-  const std::vector<double> neg_zero{-0.0, 2.0, 3.0, 4.0};
-  mark_dirty_destinations(index, zero_base, neg_zero, dirty);
-  EXPECT_EQ(dirty, (std::vector<std::uint8_t>{1, 0, 0}));
-}
-
 // ---------------------------------------------------------- Fortz cost
 
 TEST(FortzTest, ZeroLoadZeroCost) { EXPECT_DOUBLE_EQ(fortz_cost(0.0, 100.0), 0.0); }

@@ -84,22 +84,6 @@ TEST(DeterminismTest, SweepBitIdenticalIncludingEarlyAbort) {
   EXPECT_EQ(seq_aborted.lambda, par_aborted.lambda);
   EXPECT_EQ(seq_aborted.phi, par_aborted.phi);
   EXPECT_EQ(seq_aborted.scenarios_evaluated, par_aborted.scenarios_evaluated);
-
-  // The round-size knob only trades wasted-work for fan-out; sums, abort
-  // flag and scenarios_evaluated stay bit-identical at every chunk size.
-  for (const std::size_t chunk_size : {std::size_t{2}, std::size_t{5}, std::size_t{64}}) {
-    const SweepResult chunked =
-        ev.sweep(w, scenarios, {.pool = &eight, .chunk_size = chunk_size});
-    EXPECT_EQ(seq.lambda, chunked.lambda);
-    EXPECT_EQ(seq.phi, chunked.phi);
-    EXPECT_EQ(seq.scenarios_evaluated, chunked.scenarios_evaluated);
-    const SweepResult chunked_aborted = ev.sweep(
-        w, scenarios, {.abort_bound = &bound, .pool = &eight, .chunk_size = chunk_size});
-    EXPECT_EQ(seq_aborted.aborted, chunked_aborted.aborted);
-    EXPECT_EQ(seq_aborted.lambda, chunked_aborted.lambda);
-    EXPECT_EQ(seq_aborted.phi, chunked_aborted.phi);
-    EXPECT_EQ(seq_aborted.scenarios_evaluated, chunked_aborted.scenarios_evaluated);
-  }
 }
 
 OptimizeResult run_optimizer(const Evaluator& ev, int num_threads, SamplingMode mode) {

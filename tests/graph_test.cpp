@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/graph.h"
 #include "test_helpers.h"
 
@@ -88,6 +90,38 @@ TEST(GraphTest, RejectsNonPositiveCapacity) {
 TEST(GraphTest, RejectsNegativeDelay) {
   Graph g(2);
   EXPECT_THROW(g.add_link(0, 1, 100.0, -1.0), std::invalid_argument);
+}
+
+TEST(GraphTest, AddLinkRejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Graph g(2);
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(g.add_link(0, 1, 100.0, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(g.add_link(0, 1, bad, 1.0), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.num_links(), 0u);
+}
+
+TEST(GraphTest, AddArcRejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Graph g(2);
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(g.add_arc(0, 1, 100.0, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(g.add_arc(0, 1, bad, 1.0), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(g.num_arcs(), 0u);
+}
+
+TEST(GraphTest, SetLinkPropDelayRejectsNonFiniteValues) {
+  Graph g(2);
+  const LinkId l = g.add_link(0, 1, 100.0, 4.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(g.set_link_prop_delay(l, bad), std::invalid_argument) << bad;
+  for (ArcId a : g.link_arcs(l)) EXPECT_DOUBLE_EQ(g.arc(a).prop_delay_ms, 4.0);
 }
 
 TEST(GraphTest, ParallelLinksAllowed) {

@@ -202,7 +202,7 @@ TEST(HardeningTest, SweepAccumulatesViolationsAndAbortsOnThem) {
   ThreadPool eight(8);
   const SweepResult parallel = ev.sweep(
       w, set.scenarios(),
-      {.scenario_weights = set.weights(), .pool = &eight, .chunk_size = 2});
+      {.scenario_weights = set.weights(), .pool = &eight});
   EXPECT_EQ(parallel.violations, full.violations);
   EXPECT_EQ(parallel.lambda, full.lambda);
   EXPECT_EQ(parallel.phi, full.phi);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <numeric>
+#include <span>
 
 #include "graph/topology.h"
 #include "routing/failures.h"
@@ -203,6 +206,85 @@ TEST(ClassRoutingTest, AliveMaskReroutes) {
   const ClassRouting r(g, costs, tm, alive);
   EXPECT_DOUBLE_EQ(r.arc_load(2), 8.0);
   EXPECT_DOUBLE_EQ(r.arc_load(0), 0.0);
+}
+
+// ------------------------------------------------------------ incremental patching
+
+/// Patched routings must equal a full compute() bit for bit: loads and
+/// labels compared as raw bytes (== would accept -0.0 vs 0.0).
+void expect_routing_bytes_identical(const ClassRouting& got, const ClassRouting& want) {
+  const auto bytes_equal = [](std::span<const double> x, std::span<const double> y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  EXPECT_TRUE(bytes_equal(got.arc_loads(), want.arc_loads()));
+  ASSERT_EQ(got.distances().size(), want.distances().size());
+  for (std::size_t t = 0; t < want.distances().size(); ++t)
+    EXPECT_TRUE(bytes_equal(got.distances()[t], want.distances()[t])) << "destination " << t;
+  EXPECT_EQ(got.disconnected_demand_count(), want.disconnected_demand_count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.disconnected_demand_volume()),
+            std::bit_cast<std::uint64_t>(want.disconnected_demand_volume()));
+}
+
+TEST(IncrementalRoutingTest, FallbackFractionNeverChangesBytes) {
+  // Any delta-SPF fallback threshold — never-delta (0.0), the evaluator's
+  // default, always-delta (1.0) — must reproduce compute() under every
+  // single-link failure.
+  const test::TestInstance inst = test::make_test_instance(12, 4.0, 29);
+  const Graph& g = inst.graph;
+  std::vector<double> costs;
+  test::random_weights(g, 30, 41).arc_costs(g, TrafficClass::kThroughput, costs);
+  ClassRouting base;
+  RoutingBaseRecord record;
+  base.compute(g, costs, inst.traffic.throughput, {}, {}, &record);
+
+  FailureScratch scratch;
+  ClassRouting patched, reference;
+  std::vector<std::uint8_t> mask;
+  for (const FailureScenario& scenario : all_link_failures(g)) {
+    build_alive_mask(g, scenario, mask);
+    const std::span<const ArcId> removed = g.link_arcs(scenario.id);
+    reference.compute(g, costs, inst.traffic.throughput, mask);
+    for (const double fraction : {0.0, 0.25, 1.0}) {
+      patched.compute_from_base(g, costs, inst.traffic.throughput, base, record, removed,
+                                mask, fraction, scratch);
+      expect_routing_bytes_identical(patched, reference);
+    }
+  }
+  EXPECT_GT(scratch.stats().dests_delta, 0u);
+  EXPECT_GT(scratch.stats().dests_full_fallback, 0u);
+}
+
+TEST(IncrementalRoutingTest, WeightDeltaHandlesMultiLinkChanges) {
+  // A change list spanning three links (increases and decreases, both arcs
+  // of each) must reproduce compute() under the new costs.
+  const test::TestInstance inst = test::make_test_instance(12, 4.0, 23);
+  const Graph& g = inst.graph;
+  const WeightSetting old_w = test::random_weights(g, 20, 5);
+  WeightSetting new_w = old_w;
+  for (const LinkId l : {LinkId{1}, LinkId{4}, LinkId{7}})
+    new_w.set(TrafficClass::kDelay, l, old_w.get(TrafficClass::kDelay, l) >= 10 ? 3 : 19);
+  std::vector<double> old_costs, new_costs;
+  old_w.arc_costs(g, TrafficClass::kDelay, old_costs);
+  new_w.arc_costs(g, TrafficClass::kDelay, new_costs);
+  std::vector<ArcCostDelta> changes;
+  for (ArcId a = 0; a < g.num_arcs(); ++a)
+    if (old_costs[a] != new_costs[a]) changes.push_back({a, old_costs[a]});
+  ASSERT_EQ(changes.size(), 6u);
+
+  ClassRouting base;
+  RoutingBaseRecord record;
+  base.compute(g, old_costs, inst.traffic.delay, {}, {}, &record);
+  ClassRouting reference(g, new_costs, inst.traffic.delay, {});
+
+  FailureScratch scratch;
+  for (const double fraction : {0.0, 0.25, 1.0}) {
+    ClassRouting patched;
+    patched.compute_from_weight_delta(g, new_costs, inst.traffic.delay, base, record,
+                                      changes, fraction, scratch);
+    expect_routing_bytes_identical(patched, reference);
+  }
+  EXPECT_GT(scratch.stats().dests_delta, 0u);
 }
 
 // ------------------------------------------------------------ end-to-end delays

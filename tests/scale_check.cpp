@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   // bit for bit.
   EvaluatorConfig full_config;
   full_config.incremental = false;
-  full_config.incremental_delay = false;
   const Evaluator full(workload.graph, workload.traffic, workload.params,
                        full_config);
   const std::size_t sample =

@@ -303,8 +303,8 @@ TEST(TelemetryDeterminismTest, AbortedSweepCountsConsumedTermsOnly) {
 
   ThreadPool eight(8);
   const SweepResult a = seq.sweep(w, scenarios, {.abort_bound = &tight});
-  const SweepResult b = par.sweep(
-      w, scenarios, {.abort_bound = &tight, .pool = &eight, .chunk_size = 3});
+  const SweepResult b =
+      par.sweep(w, scenarios, {.abort_bound = &tight, .pool = &eight});
   ASSERT_TRUE(a.aborted);
   ASSERT_EQ(a.scenarios_evaluated, b.scenarios_evaluated);
   // Parallel rounds overshoot the abort point, but only CONSUMED terms are
