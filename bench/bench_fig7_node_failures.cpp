@@ -59,8 +59,8 @@ int main() {
       NodeObjective(const Evaluator& ev, std::vector<FailureScenario> scen,
                     CostPair star, double chi)
           : ev_(ev), scen_(std::move(scen)), star_(star), chi_(chi) {}
-      std::optional<CostPair> evaluate(const WeightSetting& ws,
-                                       const CostPair* incumbent) override {
+      std::optional<CostPair> finish(const WeightSetting& ws,
+                                     const CostPair* incumbent) override {
         const CostPair normal = ev_.evaluate(ws).cost();
         const LexicographicOrder ord;
         if (!ord.values_equal(normal.lambda, star_.lambda)) return std::nullopt;

@@ -79,6 +79,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -689,9 +690,7 @@ int run_tail_command(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--version") {
     std::cout << "dtr_tool schemas: " << dtr::experiments::kCampaignSchema << " "
               << telemetry::kTelemetrySchema << " " << telemetry::kEventsSchema << "\n";
@@ -800,4 +799,27 @@ int main(int argc, char** argv) {
   if (!opt.events_out.empty()) export_events(events, opt.events_out);
   if (!opt.trace_events.empty()) export_trace_events(result, opt.trace_events);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Everything the dispatch throws ends here instead of in std::terminate:
+  // input errors — unparsable numbers, malformed graph files, invalid
+  // generator parameters — exit 2 like every other usage error; anything
+  // else is an internal failure.
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
+  } catch (const std::out_of_range& e) {
+    usage_error(e.what());
+  } catch (const std::runtime_error& e) {
+    usage_error(e.what());
+  } catch (const std::exception& e) {
+    std::cerr << "dtr_tool: " << e.what() << "\n";
+  } catch (...) {
+    std::cerr << "dtr_tool: unknown error\n";
+  }
+  return 1;
 }

@@ -68,9 +68,9 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
   int idle_iterations = 0;   // iterations since the global best last improved
   CostPair best_at_div_start = result.best_cost;
 
-  // Speculative scoring state: up to `speculation` probes are evaluated
+  // Speculative screening state: up to `speculation` probes are screened
   // concurrently under the assumption that none is accepted; an accept
-  // invalidates (and re-scores) the batch tail. All buffers are reused
+  // invalidates (and re-screens) the batch tail. All buffers are reused
   // across batches so the hot loop stays allocation-free.
   const std::size_t speculation = ThreadPool::workers_of(config_.pool);
   std::vector<int> probe_delay(num_links);
@@ -78,7 +78,7 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
   std::vector<std::size_t> evaluable;
   evaluable.reserve(num_links);
   std::vector<WeightSetting> candidates(speculation);
-  std::vector<std::optional<CostPair>> probe_costs(speculation);
+  std::vector<SearchObjective::Screening> screenings(speculation);
 
   while (stalled_divs < config_.phase.stall_diversifications &&
          completed_divs < max_divs && result.iterations < max_iterations) {
@@ -115,16 +115,16 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
         candidates[i].set(TrafficClass::kThroughput, visit_order[p], probe_tput[p]);
       }
       if (batch == 1) {
-        probe_costs[0] = objective.evaluate(candidates[0], &current_cost);
+        screenings[0] = objective.screen(candidates[0]);
       } else {
         parallel_for(config_.pool, batch, [&](std::size_t, std::size_t i) {
-          probe_costs[i] = objective.evaluate(candidates[i], &current_cost);
+          screenings[i] = objective.screen(candidates[i]);
         });
       }
 
-      // Commit in probe order; stop at the first accept — later speculative
-      // results were scored against a stale setting and are re-scored in the
-      // next batch.
+      // Commit in probe order, finishing deferred probes on this thread;
+      // stop at the first accept — later speculative screenings saw a stale
+      // setting and are redone in the next batch.
       std::size_t consumed = batch;
       for (std::size_t i = 0; i < batch; ++i) {
         const std::size_t p = evaluable[next + i];
@@ -133,7 +133,9 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
         const int old_tput = current.get(TrafficClass::kThroughput, link);
         current.set(TrafficClass::kDelay, link, probe_delay[p]);
         current.set(TrafficClass::kThroughput, link, probe_tput[p]);
-        const std::optional<CostPair>& candidate_cost = probe_costs[i];
+        const std::optional<CostPair> candidate_cost =
+            screenings[i].deferred ? objective.finish(candidates[i], &current_cost)
+                                   : screenings[i].cost;
         ++result.evaluations;
 
         const bool accepted =

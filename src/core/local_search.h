@@ -31,17 +31,50 @@ struct PhaseParams {
 
 /// Objective evaluated by the local search. Phase 1 wraps K_normal; Phase 2
 /// wraps K_fail over the critical set subject to constraints (5)/(6).
+///
+/// Scoring is split in two stages so that the cheap, stateless part of an
+/// evaluation can run speculatively on pool workers while the expensive or
+/// stateful part runs on the calling thread, in probe order, only for probes
+/// the search actually commits:
+///   1. `screen` either decides a probe outright (its final cost, or
+///      infeasible) or defers it;
+///   2. `finish` scores a deferred probe.
+/// `evaluate` is the sequential composition of the two.
 class SearchObjective {
  public:
+  /// Stage-1 verdict on one probe: decided with its final cost (nullopt =
+  /// infeasible), or deferred to `finish`.
+  struct Screening {
+    bool deferred = true;
+    std::optional<CostPair> cost;  ///< meaningful only when !deferred
+
+    static Screening defer() { return {}; }
+    static Screening decide(std::optional<CostPair> cost) { return {false, cost}; }
+  };
+
   virtual ~SearchObjective() = default;
 
-  /// Cost of `w`, or nullopt when `w` violates the phase's constraints.
-  /// `incumbent` (may be null) is the currently accepted cost — objectives
-  /// can use it as an early-abort bound; if they do, any returned cost that
-  /// is not better than `incumbent` must still compare as not-better (partial
-  /// sums satisfy this since per-scenario costs are non-negative).
-  virtual std::optional<CostPair> evaluate(const WeightSetting& w,
-                                           const CostPair* incumbent) = 0;
+  /// Stage 1. Must be safe to call concurrently with itself: LocalSearch runs
+  /// it on pool workers, possibly for probes it later discards, so it must
+  /// not write objective state. Default: defer every probe.
+  virtual Screening screen(const WeightSetting& /*w*/) const { return Screening::defer(); }
+
+  /// Stage 2: cost of a probe `screen` deferred, or nullopt when `w` violates
+  /// the phase's constraints. Runs on the calling thread, in probe order,
+  /// once per committed probe — never for a discarded speculative one — so it
+  /// may keep state. `incumbent` (may be null) is the currently accepted cost
+  /// — objectives can use it as an early-abort bound; if they do, any
+  /// returned cost that is not better than `incumbent` must still compare as
+  /// not-better (partial sums satisfy this since per-scenario costs are
+  /// non-negative).
+  virtual std::optional<CostPair> finish(const WeightSetting& w,
+                                         const CostPair* incumbent) = 0;
+
+  /// Sequential `screen` then, if deferred, `finish`.
+  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair* incumbent) {
+    Screening s = screen(w);
+    return s.deferred ? finish(w, incumbent) : s.cost;
+  }
 };
 
 /// Everything an observer learns about one perturbation probe. Drives the
@@ -85,18 +118,20 @@ class LocalSearch {
     PhaseParams phase;
     int wmax = 100;
     std::uint64_t seed = 1;
-    /// Optional worker pool for speculative candidate scoring: the next
-    /// `pool->num_workers()` probes are evaluated concurrently under the
-    /// assumption that none is accepted; on an accept the stale tail is
-    /// discarded and re-scored. Acceptance decisions, observer events and the
-    /// RNG stream are bit-identical to the sequential search for any worker
-    /// count — accepts are rare in descent, so most speculation pays off.
-    /// Requires `objective.evaluate` to be safe to call concurrently
-    /// (observers and accept hooks still run on the calling thread, in
-    /// order). Evaluator-backed objectives satisfy this: its evaluation
-    /// entry points are const and its base-routing cache is internally
-    /// synchronized, so speculative probes may populate the cache from any
-    /// worker. nullptr = sequential.
+    /// Optional worker pool for speculative candidate screening: the next
+    /// `pool->num_workers()` probes are screened concurrently under the
+    /// assumption that none is accepted, then committed in probe order, with
+    /// `finish` run on the calling thread for each deferred probe. Commit
+    /// stops at the first accept; the stale tail is discarded and
+    /// re-screened. Acceptance decisions, observer events, the RNG stream and
+    /// the sequence of `finish` calls are bit-identical to the sequential
+    /// search for any worker count — accepts are rare in descent, so most
+    /// speculation pays off. Requires `objective.screen` to be safe to call
+    /// concurrently (`finish`, observers and accept hooks run on the calling
+    /// thread, in order). Evaluator-backed objectives satisfy this: its
+    /// evaluation entry points are const and its base-routing cache is
+    /// internally synchronized, so speculative probes may populate the cache
+    /// from any worker. nullptr = sequential.
     ThreadPool* pool = nullptr;
   };
 

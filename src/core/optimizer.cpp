@@ -23,13 +23,17 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Phase 1 objective: K_normal (always feasible).
+/// Phase 1 objective: K_normal (always feasible). One no-failure evaluation
+/// decides every probe, so the whole of it runs in the concurrent screen.
 class NormalObjective final : public SearchObjective {
  public:
   explicit NormalObjective(const Evaluator& evaluator) : evaluator_(evaluator) {}
 
-  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair*) override {
-    return evaluator_.evaluate(w).cost();
+  Screening screen(const WeightSetting& w) const override {
+    return Screening::decide(evaluator_.evaluate(w).cost());
+  }
+  std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
+    return evaluator_.evaluate(w).cost();  // unreachable: screen decides
   }
 
  private:
@@ -39,6 +43,10 @@ class NormalObjective final : public SearchObjective {
 /// Shared Phase-2 scaffolding: every aggregation minimizes its own compound
 /// cost subject to the SAME constraints (5) and (6) on normal-condition
 /// performance, and reports how many failure-scenario evaluations it spent.
+/// The constraint gate is the screen — one no-failure evaluation, safe to run
+/// speculatively on pool workers — and rejects almost every candidate; the
+/// aggregations' sweeps, their scratch and the scenario counter live in
+/// `finish`, on the calling thread, for committed candidates only.
 class Phase2Objective : public SearchObjective {
  public:
   Phase2Objective(const Evaluator& evaluator, std::vector<FailureScenario> scenarios,
@@ -53,17 +61,19 @@ class Phase2Objective : public SearchObjective {
 
   long scenario_evaluations() const { return scenario_evaluations_; }
 
- protected:
   /// Constraint gate: Eq. (5) pins Lambda_normal to Lambda*, Eq. (6) bounds
-  /// Phi_normal by (1+chi) * Phi*.
-  bool normal_feasible(const WeightSetting& w) const {
+  /// Phi_normal by (1+chi) * Phi*. Infeasible candidates are decided here.
+  Screening screen(const WeightSetting& w) const final {
     const CostPair normal = evaluator_.evaluate(w).cost();
     const LexicographicOrder order;
-    if (!order.values_equal(normal.lambda, star_.lambda)) return false;  // Eq. (5)
-    if (normal.phi > (1.0 + chi_) * star_.phi + order.abs_tol()) return false;  // Eq. (6)
-    return true;
+    if (!order.values_equal(normal.lambda, star_.lambda))  // Eq. (5)
+      return Screening::decide(std::nullopt);
+    if (normal.phi > (1.0 + chi_) * star_.phi + order.abs_tol())  // Eq. (6)
+      return Screening::decide(std::nullopt);
+    return Screening::defer();
   }
 
+ protected:
   const Evaluator& evaluator_;
   std::vector<FailureScenario> scenarios_;
   std::vector<double> scenario_weights_;
@@ -80,9 +90,8 @@ class ExpectedCostObjective final : public Phase2Objective {
  public:
   using Phase2Objective::Phase2Objective;
 
-  std::optional<CostPair> evaluate(const WeightSetting& w,
-                                   const CostPair* incumbent) override {
-    if (!normal_feasible(w)) return std::nullopt;
+  std::optional<CostPair> finish(const WeightSetting& w,
+                                 const CostPair* incumbent) override {
     SweepOptions options;
     options.abort_bound = incumbent;
     options.scenario_weights = scenario_weights_;
@@ -106,8 +115,7 @@ class PercentileObjective final : public Phase2Objective {
                         star, chi, pool),
         percentile_(percentile) {}
 
-  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair*) override {
-    if (!normal_feasible(w)) return std::nullopt;
+  std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
     const std::vector<EvalResult> results =
         evaluator_.evaluate_failures(w, scenarios_, pool_);
     scenario_evaluations_ += static_cast<long>(results.size());
@@ -148,9 +156,8 @@ class DowntimeObjective final : public Phase2Objective {
       unavoidable_mass_ += scenario_weights_[i] * unavoidable[i];
   }
 
-  std::optional<CostPair> evaluate(const WeightSetting& w,
-                                   const CostPair* incumbent) override {
-    if (!normal_feasible(w)) return std::nullopt;
+  std::optional<CostPair> finish(const WeightSetting& w,
+                                 const CostPair* incumbent) override {
     SweepOptions options;
     options.scenario_weights = scenario_weights_;
     options.pool = pool_;
@@ -343,8 +350,8 @@ OptimizeResult RobustOptimizer::optimize() {
       !catalog_mode && (config_.selector == SelectorKind::kDistributionGap ||
                         config_.selector == SelectorKind::kThresholdCrossing);
 
-  // Phase 1a probes score under NormalObjective, which is stateless and
-  // therefore safe for LocalSearch's speculative parallel scoring.
+  // Phase 1a probes score under NormalObjective, whose screen decides every
+  // probe — LocalSearch's speculative screening scores them all in parallel.
   LocalSearch phase1_search({config_.phase1, config_.wmax, rng.split().seed(), pool.get()});
   if (selector_needs_samples) {
     if (config_.sampling_mode == SamplingMode::kEmulatedWeights) {
@@ -560,8 +567,6 @@ OptimizeResult RobustOptimizer::optimize() {
     }
   }
 
-  // Phase 2 parallelism lives inside the scenario sweep (the objectives are
-  // stateful, so their candidates are scored one at a time).
   std::unique_ptr<Phase2Objective> robust_objective;
   const AggregationMode mode =
       catalog_mode ? objective->mode : AggregationMode::kExpectedCost;
@@ -586,7 +591,10 @@ OptimizeResult RobustOptimizer::optimize() {
   const auto feasible =
       store.feasible_entries(result.regular_cost.lambda, result.regular_cost.phi,
                              config_.chi);
-  LocalSearch phase2_search({config_.phase2, config_.wmax, rng.split().seed()});
+  // Phase 2 screens candidates against constraints (5)/(6) speculatively on
+  // the pool, like Phase 1a; the survivors' sweeps run in probe order on this
+  // thread and parallelize across the pool inside the sweep.
+  LocalSearch phase2_search({config_.phase2, config_.wmax, rng.split().seed(), pool.get()});
   const WeightSetting regular_best = result.regular;  // stable restart fallback
   const int wmax = config_.wmax;
   // Diversification restarts draw a recorded feasible setting and jitter a

@@ -53,8 +53,9 @@ struct OptimizerConfig {
   /// thread, 1 = strictly sequential (the seed behavior), N = N workers.
   /// The engine is deterministic — results are bit-identical for ANY value;
   /// only wall-clock time changes. Parallelism covers Phase 1a candidate
-  /// scoring (speculative probes), Phase 1b sampling batches, and the
-  /// Phase 2 critical-scenario sweeps.
+  /// scoring (speculative probes), Phase 1b sampling batches, Phase 2
+  /// constraint screening (speculative probes) and the Phase 2
+  /// critical-scenario sweeps.
   int num_threads = 1;
   /// Hardening objective: WHAT Phase 2 optimizes against. When set, the
   /// catalog's scenarios replace the critical single-link set as the failure

@@ -27,7 +27,10 @@ void place_nodes_uniformly(Graph& g, int n, Rng& rng) {
 
 int target_link_count(const SynthTopoParams& p) {
   if (p.num_nodes < 3) throw std::invalid_argument("topology: need >= 3 nodes");
-  if (p.avg_degree < 2.0) throw std::invalid_argument("topology: avg_degree must be >= 2");
+  // Negated so NaN fails too.
+  if (!(p.avg_degree >= 2.0)) throw std::invalid_argument("topology: avg_degree must be >= 2");
+  if (p.avg_degree > p.num_nodes - 1)
+    throw std::invalid_argument("topology: avg_degree must be <= num_nodes - 1");
   const int m = static_cast<int>(std::lround(p.avg_degree * p.num_nodes / 2.0));
   return std::max(m, p.num_nodes);  // at least a cycle
 }

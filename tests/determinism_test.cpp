@@ -4,6 +4,7 @@
 
 #include "core/optimizer.h"
 #include "routing/failures.h"
+#include "scenarios/hardening.h"
 #include "test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -133,6 +134,40 @@ TEST(DeterminismTest, OptimizerBitIdenticalAcrossThreadCountsEmulatedMode) {
   const OptimizeResult seq = run_optimizer(ev, 1, SamplingMode::kEmulatedWeights);
   const OptimizeResult par = run_optimizer(ev, 4, SamplingMode::kEmulatedWeights);
   expect_optimizer_output_identical(seq, par);
+}
+
+TEST(DeterminismTest, CatalogObjectivesBitIdenticalAcrossThreadCounts) {
+  // Tiny enough for the sanitizer smoke suites: Phase 2 screens candidates
+  // against constraints (5)/(6) concurrently for every aggregation mode.
+  const Graph g = make_ring_with_chords(8);
+  const ClassedTraffic traffic = make_traffic(g, 13);
+  const Evaluator ev(g, traffic, {});
+  HardeningObjective objective;
+  Rng catalog_rng(5);
+  for (FailureScenario& s : sample_k_link_failures(g, 2, 4, catalog_rng))
+    objective.set.add(std::move(s));
+
+  for (const AggregationMode mode :
+       {AggregationMode::kExpectedCost, AggregationMode::kWeightedPercentile,
+        AggregationMode::kExpectedDowntime}) {
+    SCOPED_TRACE(to_string(mode));
+    objective.mode = mode;
+    const auto run = [&](int num_threads) {
+      OptimizerConfig config = default_optimizer_config(Effort::kSmoke, /*seed=*/23);
+      config.phase1 = {4, 1, 0.01, 0};
+      config.phase2 = {4, 1, 0.01, 0};
+      config.max_phase1b_samples = 40;
+      config.objective = objective;
+      config.num_threads = num_threads;
+      return RobustOptimizer(ev, config).optimize();
+    };
+    const OptimizeResult seq = run(1);
+    const OptimizeResult par = run(4);
+    EXPECT_GT(seq.phase2_scenario_evaluations, 0);
+    expect_optimizer_output_identical(seq, par);
+    EXPECT_EQ(seq.critical_scenarios, par.critical_scenarios);
+    EXPECT_EQ(seq.robust_objective_value, par.robust_objective_value);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <tuple>
 
 #include "core/acceptable_store.h"
 #include "core/local_search.h"
+#include "util/thread_pool.h"
 
 namespace dtr {
 namespace {
@@ -15,7 +19,7 @@ class QuadraticObjective final : public SearchObjective {
   QuadraticObjective(std::vector<int> ideal_delay, std::vector<int> ideal_tput)
       : ideal_delay_(std::move(ideal_delay)), ideal_tput_(std::move(ideal_tput)) {}
 
-  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair*) override {
+  std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
     ++calls_;
     double cost = 0.0;
     for (LinkId l = 0; l < w.num_links(); ++l) {
@@ -38,7 +42,7 @@ class QuadraticObjective final : public SearchObjective {
 class CappedObjective final : public SearchObjective {
  public:
   explicit CappedObjective(int cap) : cap_(cap) {}
-  std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair*) override {
+  std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
     double sum = 0.0;
     for (LinkId l = 0; l < w.num_links(); ++l) {
       const int wd = w.get(TrafficClass::kDelay, l);
@@ -50,6 +54,50 @@ class CappedObjective final : public SearchObjective {
 
  private:
   int cap_;
+};
+
+/// Two-stage objective in the shape of Phase 2: quadratic cost, a screen
+/// that decides some probes (infeasible, or scored outright) and defers the
+/// rest to a finish that records what it saw and on which thread.
+class ScreenedObjective final : public SearchObjective {
+ public:
+  ScreenedObjective(std::vector<int> ideal, int infeasible_mod)
+      : ideal_(std::move(ideal)), infeasible_mod_(infeasible_mod) {}
+
+  Screening screen(const WeightSetting& w) const override {
+    ++screens_;
+    const int key = w.get(TrafficClass::kDelay, 0) + w.get(TrafficClass::kThroughput, 1);
+    if (key % infeasible_mod_ == 0) return Screening::decide(std::nullopt);
+    if (key % 3 == 0) return Screening::decide(cost(w));
+    return Screening::defer();
+  }
+
+  std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
+    finished_.push_back(w);
+    finish_threads_.push_back(std::this_thread::get_id());
+    return cost(w);
+  }
+
+  long screens() const { return screens_.load(); }
+  const std::vector<WeightSetting>& finished() const { return finished_; }
+  const std::vector<std::thread::id>& finish_threads() const { return finish_threads_; }
+
+ private:
+  CostPair cost(const WeightSetting& w) const {
+    double c = 0.0;
+    for (LinkId l = 0; l < w.num_links(); ++l) {
+      const double dd = w.get(TrafficClass::kDelay, l) - ideal_[l];
+      const double dt = w.get(TrafficClass::kThroughput, l) - ideal_[l];
+      c += dd * dd + dt * dt;
+    }
+    return CostPair{c, 0.0};
+  }
+
+  std::vector<int> ideal_;
+  int infeasible_mod_;
+  mutable std::atomic<long> screens_{0};
+  std::vector<WeightSetting> finished_;
+  std::vector<std::thread::id> finish_threads_;
 };
 
 LocalSearch::Config quick_config(std::uint64_t seed) {
@@ -176,6 +224,72 @@ TEST(LocalSearchTest, ConfigValidation) {
   LocalSearch ok({{5, 5, 0.1, 0}, 10, 1});
   QuadraticObjective obj({}, {});
   EXPECT_THROW(ok.run(obj, WeightSetting(0)), std::invalid_argument);
+}
+
+TEST(LocalSearchTest, SpeculativeScreeningMatchesSequentialForAnyPoolWidth) {
+  // Two objectives: a feasibility-heavy one (most probes decided infeasible
+  // by the screen, like Phase 2's constraint gate) and an accepts-heavy one
+  // (no infeasible screens, frequent accepts that strand speculative tails).
+  for (const int infeasible_mod : {2, 1000}) {
+    struct Run {
+      LocalSearch::Result result;
+      std::vector<std::tuple<long, long, LinkId, double, bool>> moves;
+      std::vector<std::tuple<LinkId, int, int, double, double, bool, bool, WeightSetting>>
+          events;
+      std::vector<WeightSetting> finished;
+      long screens = 0;
+    };
+    const auto run = [&](int width) {
+      ThreadPool pool(width);
+      LocalSearch::Config config = quick_config(11);
+      config.phase = {4, 3, 0.01, 0};
+      config.pool = width > 1 ? &pool : nullptr;
+      LocalSearch search(config);
+      Run r;
+      search.set_on_move([&](const MoveRecord& m) {
+        r.moves.emplace_back(m.iteration, m.evaluations, m.link, m.cost.lambda, m.restart);
+      });
+      search.set_observer([&](const PerturbationEvent& e) {
+        r.events.emplace_back(e.link, e.new_weight_delay, e.new_weight_tput,
+                              e.cost_before.lambda,
+                              e.cost_after ? e.cost_after->lambda : -1.0,
+                              e.cost_after.has_value(), e.accepted, *e.candidate);
+      });
+      ScreenedObjective obj({7, 3, 15, 9, 12, 4, 18, 6}, infeasible_mod);
+      WeightSetting initial(8, 5);
+      initial.set(TrafficClass::kDelay, 0, 2);  // 2 + 5 is feasible for both mods
+      r.result = search.run(obj, initial);
+      r.finished = obj.finished();
+      r.screens = obj.screens();
+      for (const std::thread::id id : obj.finish_threads())
+        EXPECT_EQ(id, std::this_thread::get_id());
+      return r;
+    };
+
+    const Run seq = run(1);
+    ASSERT_GT(seq.result.accepted_moves, 0);
+    ASSERT_FALSE(seq.finished.empty());
+    // Sequential: exactly one screen per evaluation (probes, initial point
+    // and restarts all screen once).
+    EXPECT_EQ(seq.screens, seq.result.evaluations);
+    for (const int width : {2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "mod " << infeasible_mod << " width " << width);
+      const Run par = run(width);
+      EXPECT_TRUE(par.result.best == seq.result.best);
+      EXPECT_EQ(par.result.best_cost.lambda, seq.result.best_cost.lambda);
+      EXPECT_EQ(par.result.iterations, seq.result.iterations);
+      EXPECT_EQ(par.result.diversifications, seq.result.diversifications);
+      EXPECT_EQ(par.result.evaluations, seq.result.evaluations);
+      EXPECT_EQ(par.result.accepted_moves, seq.result.accepted_moves);
+      EXPECT_EQ(par.moves, seq.moves);
+      EXPECT_EQ(par.events, seq.events);
+      // finish saw the same settings in the same order: deferred probes in a
+      // stale speculative tail were never finished.
+      EXPECT_EQ(par.finished, seq.finished);
+      // Tails stranded by accepts were screened again after the accept.
+      EXPECT_GT(par.screens, seq.screens);
+    }
+  }
 }
 
 // ------------------------------------------------------------ store

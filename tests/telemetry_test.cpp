@@ -318,9 +318,11 @@ TEST(TelemetryDeterminismTest, AbortedSweepCountsConsumedTermsOnly) {
 
 TEST(TelemetryDeterminismTest, OptimizerCountersThreadShapeIdentical) {
   const TestInstance inst = make_test_instance(8, 4.0, 19);
-  const Evaluator ev(inst.graph, inst.traffic, inst.params);
 
+  // The sink is attached to the evaluator too, so the sweep and eval
+  // counters of Phase 2's committed candidates join the comparison.
   const auto run = [&](int num_threads, telemetry::Registry* sink) {
+    const Evaluator ev(inst.graph, inst.traffic, inst.params, {.telemetry = sink});
     OptimizerConfig config = default_optimizer_config(Effort::kSmoke, 3);
     config.num_threads = num_threads;
     config.telemetry = sink;
@@ -333,6 +335,8 @@ TEST(TelemetryDeterminismTest, OptimizerCountersThreadShapeIdentical) {
   EXPECT_EQ(det_json(one, "opt"), det_json(eight, "opt"));
   const telemetry::Snapshot snap = one.snapshot(telemetry::Plane::kDeterministic);
   EXPECT_EQ(snap.counter("optimizer.runs"), 1u);
+  EXPECT_GT(snap.counter("sweep.calls"), 0u);
+  EXPECT_GT(snap.counter("eval.scenarios"), 0u);
   EXPECT_EQ(snap.counter("optimizer.phase1_evaluations"),
             static_cast<std::uint64_t>(r1.phase1_evaluations));
   EXPECT_EQ(snap.counter("optimizer.critical_links"), r1.critical.size());
@@ -340,9 +344,8 @@ TEST(TelemetryDeterminismTest, OptimizerCountersThreadShapeIdentical) {
   EXPECT_EQ(one.spans().size(), 4u);
   EXPECT_EQ(one.snapshot(telemetry::Plane::kProcess).counters.size(), 0u);
 
-  // The result-embedded snapshots back the compat accessors; both runs used
-  // the same (shared-evaluator) cache, so the totals are populated either
-  // way, and the deterministic section matches the sink's.
+  // The result-embedded snapshots back the compat accessors: the cache
+  // totals are populated, and the deterministic section matches the sink's.
   EXPECT_EQ(r1.counters.counter("optimizer.phase1_evaluations"),
             snap.counter("optimizer.phase1_evaluations"));
   EXPECT_GT(r1.base_cache_hits() + r1.base_cache_misses(), 0u);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "graph/connectivity.h"
 #include "graph/isp.h"
@@ -104,6 +105,21 @@ TEST(RandTopoTest, DifferentSeedsDiffer) {
 TEST(RandTopoTest, RejectsBadParameters) {
   EXPECT_THROW(make_rand_topo({2, 4.0, 500.0, 1}), std::invalid_argument);
   EXPECT_THROW(make_rand_topo({10, 1.0, 500.0, 1}), std::invalid_argument);
+}
+
+TEST(RandTopoTest, RejectsNanDegree) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(make_rand_topo({10, nan, 500.0, 1}), std::invalid_argument);
+  EXPECT_THROW(make_near_topo({10, nan, 500.0, 1}), std::invalid_argument);
+}
+
+TEST(RandTopoTest, RejectsDegreeAboveCompleteGraph) {
+  // 8 nodes: degree 7 is the complete graph, anything above is unreachable.
+  EXPECT_THROW(make_rand_topo({8, 50.0, 500.0, 1}), std::invalid_argument);
+  EXPECT_THROW(make_rand_topo({8, 7.5, 500.0, 1}), std::invalid_argument);
+  EXPECT_THROW(make_near_topo({8, 50.0, 500.0, 1}), std::invalid_argument);
+  const Graph complete = make_rand_topo({8, 7.0, 500.0, 1});
+  EXPECT_EQ(complete.num_links(), 28u);
 }
 
 TEST(NearTopoTest, HasLowerPathDiversityThanRandTopo) {
