@@ -357,12 +357,13 @@ Options parse_args(int argc, char** argv) {
       harden_flag_seen = true;
     } else if (flag == "--harden-percentile") {
       const double p = std::stod(value);
-      if (p < 0.0 || p > 1.0) usage_error("--harden-percentile must be in [0, 1]");
+      if (!(p >= 0.0 && p <= 1.0)) usage_error("--harden-percentile must be in [0, 1]");
       opt.harden.catalog.percentile = p;
       harden_flag_seen = true;
     } else if (flag == "--harden-period") {
       const double minutes = std::stod(value);
-      if (minutes <= 0.0) usage_error("--harden-period must be > 0 minutes");
+      if (!std::isfinite(minutes) || minutes <= 0.0)
+        usage_error("--harden-period must be finite and > 0 minutes");
       opt.harden.period_minutes = minutes;
       harden_flag_seen = true;
     }

@@ -138,24 +138,28 @@ std::size_t CriticalityCollector::samples_until_next_rank_update() const {
 
 long top_up_criticality_samples(const Evaluator& evaluator,
                                 CriticalityCollector& collector,
+                                std::span<const FailureScenario> scenarios,
                                 std::span<const AcceptableStore::Entry* const> entries,
                                 SamplingMode mode, int wmax, long budget, Rng& rng,
                                 ThreadPool* pool) {
+  if (scenarios.size() != collector.num_links())
+    throw std::invalid_argument(
+        "top_up_criticality_samples: catalog size differs from the collector's");
   if (entries.empty())
     throw std::invalid_argument("top_up_criticality_samples: empty entry pool");
+  const bool emulated = mode == SamplingMode::kEmulatedWeights;
+  if (emulated)
+    for (const FailureScenario& s : scenarios)
+      if (s.kind != FailureScenario::Kind::kLink)
+        throw std::invalid_argument(
+            "top_up_criticality_samples: emulated-weights sampling needs single-link scenarios");
 
   long generated = 0;
   const int floor = collector.emulation_weight_floor();
-
-  // One pending sample: the link it belongs to plus the evaluation job that
-  // produces its cost. Emulated mode evaluates a perturbed copy of the drawn
-  // setting under normal conditions; exact mode evaluates the drawn setting
-  // under the true failure of the link.
-  struct PendingSample {
-    LinkId link;
-    WeightSetting perturbed;  // emulated mode only
-  };
-  std::vector<PendingSample> pending;
+  // Emulated mode evaluates a perturbed copy of the drawn setting under
+  // normal conditions; exact mode evaluates the drawn setting under the
+  // scenario itself.
+  std::vector<WeightSetting> perturbed;
   std::vector<EvalJob> jobs;
 
   while (!collector.converged() && generated < budget) {
@@ -170,89 +174,31 @@ long top_up_criticality_samples(const Evaluator& evaluator,
       const std::size_t batch =
           std::min({order.size() - pos, static_cast<std::size_t>(budget - generated),
                     collector.samples_until_next_rank_update()});
-      pending.clear();
+      perturbed.clear();
       jobs.clear();
       for (std::size_t i = 0; i < batch; ++i) {
-        const LinkId link = order[pos + i];
+        const FailureScenario& scenario = scenarios[order[pos + i]];
         const AcceptableStore::Entry& entry = *entries[rng.uniform_index(entries.size())];
-        if (mode == SamplingMode::kEmulatedWeights) {
+        if (emulated) {
           WeightSetting w = entry.setting;
-          w.set(TrafficClass::kDelay, link, rng.uniform_int(floor, wmax));
-          w.set(TrafficClass::kThroughput, link, rng.uniform_int(floor, wmax));
-          pending.push_back({link, std::move(w)});
+          w.set(TrafficClass::kDelay, scenario.id, rng.uniform_int(floor, wmax));
+          w.set(TrafficClass::kThroughput, scenario.id, rng.uniform_int(floor, wmax));
+          perturbed.push_back(std::move(w));
         } else {
-          pending.push_back({link, WeightSetting()});
-          jobs.push_back({&entry.setting, FailureScenario::link(link)});
+          jobs.push_back({&entry.setting, scenario});
         }
       }
-      if (mode == SamplingMode::kEmulatedWeights) {
-        for (const PendingSample& p : pending)
-          jobs.push_back({&p.perturbed, FailureScenario::none()});
-      }
+      for (const WeightSetting& w : perturbed) jobs.push_back({&w, FailureScenario::none()});
 
       const std::vector<CostPair> costs = evaluator.evaluate_costs(jobs, pool);
       for (std::size_t i = 0; i < batch; ++i) {
-        collector.add_sample(pending[i].link, costs[i]);
+        collector.add_sample(order[pos + i], costs[i]);
         ++generated;
       }
       pos += batch;
     }
   }
   return generated;
-}
-
-ScenarioCriticality estimate_scenario_criticality(
-    const Evaluator& evaluator, std::span<const FailureScenario> scenarios,
-    std::span<const AcceptableStore::Entry* const> entries,
-    const CriticalityParams& params, long budget, Rng& rng, ThreadPool* pool) {
-  if (scenarios.empty())
-    throw std::invalid_argument("estimate_scenario_criticality: empty catalog");
-  if (entries.empty())
-    throw std::invalid_argument("estimate_scenario_criticality: empty entry pool");
-
-  // The per-link collector machinery is index-generic: instantiate it over
-  // catalog positions. wmax/b1 feed only the Phase-1a perturbation trigger,
-  // which direct add_sample injection never consults.
-  CriticalityCollector collector(scenarios.size(), /*wmax=*/100, /*b1=*/0.0, params,
-                                 rng.split().seed());
-
-  long generated = 0;
-  std::vector<LinkId> order;
-  std::vector<std::size_t> batch_index;
-  std::vector<EvalJob> jobs;
-  while (!collector.converged() && generated < budget) {
-    order = collector.links_by_sample_need();
-    std::size_t pos = 0;
-    while (pos < order.size()) {
-      if (collector.converged() || generated >= budget) break;
-      // Batch at most up to the next rank refresh: convergence cannot change
-      // mid-batch, so drawing/evaluating these jobs ahead of time replays the
-      // sequential loop exactly.
-      const std::size_t batch =
-          std::min({order.size() - pos, static_cast<std::size_t>(budget - generated),
-                    collector.samples_until_next_rank_update()});
-      batch_index.clear();
-      jobs.clear();
-      for (std::size_t i = 0; i < batch; ++i) {
-        const std::size_t index = order[pos + i];
-        const AcceptableStore::Entry& entry = *entries[rng.uniform_index(entries.size())];
-        batch_index.push_back(index);
-        jobs.push_back({&entry.setting, scenarios[index]});
-      }
-      const std::vector<CostPair> costs = evaluator.evaluate_costs(jobs, pool);
-      for (std::size_t i = 0; i < batch; ++i) {
-        collector.add_sample(static_cast<LinkId>(batch_index[i]), costs[i]);
-        ++generated;
-      }
-      pos += batch;
-    }
-  }
-
-  ScenarioCriticality out;
-  out.estimates = collector.estimates();
-  out.samples = generated;
-  out.converged = collector.converged();
-  return out;
 }
 
 }  // namespace dtr

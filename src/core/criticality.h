@@ -139,8 +139,12 @@ class CriticalityCollector {
 
 /// Phase 1b top-up sampling (Fig. 1): draws acceptable settings from
 /// `entries`, generates failure(-like) cost samples for the least-sampled
-/// links, and feeds the collector until the criticality ranking converges or
-/// `budget` samples were generated. Returns the number generated.
+/// catalog entries, and feeds the collector until the criticality ranking
+/// converges or `budget` samples were generated. Returns the number
+/// generated. Collector index i describes `scenarios[i]`, so the collector
+/// must span exactly the catalog. Exact mode evaluates the drawn setting
+/// under `scenarios[i]`; emulated mode perturbs the failed link's weights
+/// into the emulation window, so it needs single-link scenarios.
 ///
 /// The evaluation of each batch runs on `pool` (nullptr = sequential), but
 /// the result stream is bit-identical for any worker count: jobs are drawn
@@ -149,33 +153,9 @@ class CriticalityCollector {
 /// `collector.converged()` can flip.
 long top_up_criticality_samples(const Evaluator& evaluator,
                                 CriticalityCollector& collector,
+                                std::span<const FailureScenario> scenarios,
                                 std::span<const AcceptableStore::Entry* const> entries,
                                 SamplingMode mode, int wmax, long budget, Rng& rng,
                                 ThreadPool* pool = nullptr);
-
-/// Catalog-aware criticality (the Phase-1b/1c generalization behind
-/// HardeningObjective): the distribution-gap estimator applied to COMPOUND
-/// scenarios instead of single links. Estimate index i describes
-/// `scenarios[i]` — rank lists, convergence tracking and reservoir behavior
-/// are exactly the per-link machinery with "link l" replaced by
-/// "catalog entry i".
-struct ScenarioCriticality {
-  CriticalityEstimates estimates;  ///< indexed by catalog position
-  long samples = 0;                ///< cost evaluations fed to the estimator
-  bool converged = false;          ///< rank order stabilized before the budget ran out
-};
-
-/// Samples acceptable routings from `entries` under the catalog's scenarios
-/// (least-sampled scenario first, exact-failure evaluation) until the
-/// criticality rank order converges or `budget` samples were generated —
-/// the scenario-space analogue of top_up_criticality_samples, sharing its
-/// determinism contract: jobs are drawn from `rng` in the order the
-/// sequential loop would draw them and batches never cross a rank-update
-/// boundary, so the estimates are bit-identical for any worker count.
-ScenarioCriticality estimate_scenario_criticality(
-    const Evaluator& evaluator, std::span<const FailureScenario> scenarios,
-    std::span<const AcceptableStore::Entry* const> entries,
-    const CriticalityParams& params, long budget, Rng& rng,
-    ThreadPool* pool = nullptr);
 
 }  // namespace dtr

@@ -57,18 +57,18 @@ struct OptimizerConfig {
   /// constraint screening (speculative probes) and the Phase 2
   /// critical-scenario sweeps.
   int num_threads = 1;
-  /// Hardening objective: WHAT Phase 2 optimizes against. When set, the
-  /// catalog's scenarios replace the critical single-link set as the failure
-  /// model and `objective->mode` picks the aggregation (expected cost /
-  /// weighted percentile / expected downtime). Criticality generalizes with
-  /// it: compound scenarios are ranked by distribution gap (scaled by their
-  /// probability weight) through the same Algorithm 1 machinery that ranks
-  /// links, and Phase 2 sweeps only the selected critical sub-catalog. One
-  /// exception keeps the classic pipeline byte-compatible: an expected-cost
-  /// objective over exactly the per-link single-failure set (what
-  /// objective_from_link_probabilities builds) runs the per-link Phase
-  /// 1a/1b/1c path with the catalog weights as link probabilities — the
-  /// exact historical RNG stream of the pre-API per-link runs.
+  /// Hardening objective: the failure catalog the run hardens against and
+  /// the aggregation Phase 2 minimizes over it (expected cost / weighted
+  /// percentile / expected downtime). Unset means every single-link failure
+  /// at unit weight under expected cost. Phases 1b, 1c and 2 run one code
+  /// path over catalog positions: Phase 1b samples each scenario's
+  /// distribution gap, Phase 1c ranks the gaps scaled by the scenario
+  /// weights, and Phase 2 sweeps the selected critical sub-catalog. When the
+  /// catalog is the per-link shape (is_per_link_shaped: one single-link
+  /// failure per link in link order, expected cost), positions are link ids
+  /// and the link-only parts apply: Phase 1a perturbation sampling,
+  /// emulated-weights sampling, and the load and threshold-crossing
+  /// selectors. Other catalogs reject those two selectors and sample exactly.
   std::optional<HardeningObjective> objective;
   /// Optional telemetry sink (borrowed; may be null). The run's deterministic
   /// optimizer.* counters and its phase spans are merged into it at the end
@@ -87,7 +87,8 @@ struct OptimizerConfig {
   telemetry::EventBus* events = nullptr;
 };
 
-/// Paper-ratio configs at the given effort level (see DESIGN.md §7).
+/// Paper-ratio configs at the given effort level: kFull is the paper's
+/// budgets (Sec. V-A3), quick and smoke shrink them.
 OptimizerConfig default_optimizer_config(Effort effort, std::uint64_t seed);
 
 /// One committed search move of the convergence trace, tagged with the phase
@@ -114,13 +115,13 @@ struct OptimizeResult {
   std::size_t phase1a_samples = 0;  ///< failure-like samples from Phase 1a
   std::size_t phase1b_samples = 0;  ///< top-up samples from Phase 1b
 
-  // Catalog-objective diagnostics (zero / empty when the run used the classic
-  // per-link pipeline — i.e. no objective, or a per-link-shaped shim):
+  // Catalog-objective diagnostics (zero / empty when the catalog has the
+  // per-link shape — no objective, or objective_from_link_probabilities):
   std::size_t catalog_size = 0;  ///< |S| of the hardening catalog, 0 = per-link run
   std::vector<std::size_t> critical_scenarios;  ///< Sc: catalog positions, ascending
   CriticalityEstimates scenario_estimates;      ///< indexed by catalog position
   bool scenario_rank_converged = false;
-  std::size_t scenario_samples = 0;  ///< Phase 1b' catalog-criticality samples
+  std::size_t scenario_samples = 0;  ///< Phase 1b catalog-criticality samples
   /// Phase-2 objective value of `robust` under the catalog aggregation
   /// (expected cost / percentile cost / expected avoidable downtime minutes,
   /// by objective->mode). NaN for per-link runs.

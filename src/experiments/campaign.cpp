@@ -591,9 +591,11 @@ Campaign parse_campaign_spec(std::istream& in) {
                              message);
   };
   // All three insist the whole token parses: stod/stoi alone would accept
-  // trailing garbage and silently truncate typos like "12x7". Error messages
-  // name the offending KEY alongside the line number, so a typo deep in a
-  // many-cell spec points straight at its directive.
+  // trailing garbage and silently truncate typos like "12x7". Doubles must
+  // also be finite: stod accepts "nan" and "inf", and NaN slips past every
+  // range check. Error messages name the offending KEY alongside the line
+  // number, so a typo deep in a many-cell spec points straight at its
+  // directive.
   const auto parse_double = [&](const std::string& key, const std::string& v) {
     std::size_t pos = 0;
     double out = 0.0;
@@ -602,7 +604,8 @@ Campaign parse_campaign_spec(std::istream& in) {
     } catch (const std::exception&) {
       fail("bad number for key '" + key + "': " + v);
     }
-    if (pos != v.size()) fail("bad number for key '" + key + "': " + v);
+    if (pos != v.size() || !std::isfinite(out))
+      fail("bad number for key '" + key + "': " + v);
     return out;
   };
   const auto parse_int = [&](const std::string& key, const std::string& v) {

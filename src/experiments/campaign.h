@@ -83,8 +83,8 @@ std::string to_string(ScenarioSpec::Kind kind);
 /// `harden_geo_grid`, `harden_rate_weights`, `harden_percentile`,
 /// `harden_period_min`): when enabled, the optimizer runs against a
 /// HardeningObjective built from this catalog — scenario-catalog criticality
-/// plus the chosen aggregation — instead of the classic per-link pipeline,
-/// and the cell emits the `opt_scn_*` / `scn_exp_downtime_*` metrics.
+/// plus the chosen aggregation — instead of every single-link failure at unit
+/// weight, and the cell emits the `opt_scn_*` / `scn_exp_downtime_*` metrics.
 /// `objective=` alone defaults the catalog to all single-link failures, so
 /// "objective=downtime" with no harden_set is the single-link-hardened
 /// baseline the SRLG-vs-single-link comparisons measure against.

@@ -72,7 +72,7 @@ Workload make_workload(const WorkloadSpec& spec) {
   // ISP's geographic delays happen to leave only ~4% headroom against the
   // coast-to-coast SLA (tighter than the paper's proprietary topology, whose
   // regular routing still met the SLA normally); calibrating it the same way
-  // keeps the failure experiments comparable across topologies (DESIGN.md §4).
+  // keeps the failure experiments comparable across topologies.
   calibrate_delays_to_sla(w.graph, spec.theta_ms);
   w.traffic = split_by_class(
       make_gravity_traffic(w.graph, {1.0, 1.0, spec.seed + 1000}), spec.delay_fraction);

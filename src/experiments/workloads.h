@@ -66,7 +66,7 @@ struct Workload {
 
 /// Builds graph + traffic + eval params for a spec (deterministic per seed).
 /// Synthesized AND ISP delays are calibrated against the SLA bound
-/// (DESIGN.md §4/§4b); traffic is gravity-model, 30% delay-sensitive,
+/// (Sec. V-A1); traffic is gravity-model, 30% delay-sensitive,
 /// scaled to the spec's utilization target.
 Workload make_workload(const WorkloadSpec& spec);
 

@@ -13,7 +13,6 @@ namespace dtr {
 /// with the same size: 16 PoPs, 35 bidirectional links (70 directed arcs),
 /// geographic propagation delays in the paper's ~5-20 ms range
 /// (fiber at 5 µs/km over great-circle-ish planar distances).
-/// See DESIGN.md §4 for the substitution rationale.
 struct IspTopology {
   Graph graph;
   std::vector<std::string> city_names;  ///< indexed by NodeId

@@ -1,6 +1,7 @@
 #include "scenarios/hardening.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "routing/failures.h"
@@ -26,10 +27,10 @@ std::optional<AggregationMode> parse_aggregation_mode(std::string_view text) {
 void validate_objective(const HardeningObjective& objective, const Graph& g) {
   if (objective.set.empty())
     throw std::invalid_argument("HardeningObjective: empty scenario catalog");
-  if (objective.percentile < 0.0 || objective.percentile > 1.0)
+  if (!(objective.percentile >= 0.0 && objective.percentile <= 1.0))
     throw std::invalid_argument("HardeningObjective: percentile outside [0, 1]");
-  if (objective.period_minutes <= 0.0)
-    throw std::invalid_argument("HardeningObjective: period_minutes must be > 0");
+  if (!std::isfinite(objective.period_minutes) || objective.period_minutes <= 0.0)
+    throw std::invalid_argument("HardeningObjective: period_minutes must be finite and > 0");
   for (const FailureScenario& s : objective.set.scenarios()) {
     for_each_failed_element(
         s,
@@ -57,16 +58,14 @@ HardeningObjective objective_from_link_probabilities(
   return objective;
 }
 
-std::optional<std::vector<double>> as_per_link_probabilities(
-    const HardeningObjective& objective, std::size_t num_links) {
-  if (objective.mode != AggregationMode::kExpectedCost) return std::nullopt;
-  if (objective.set.size() != num_links) return std::nullopt;
+bool is_per_link_shaped(const HardeningObjective& objective, std::size_t num_links) {
+  if (objective.mode != AggregationMode::kExpectedCost) return false;
+  if (objective.set.size() != num_links) return false;
   for (std::size_t i = 0; i < num_links; ++i) {
     const FailureScenario& s = objective.set.scenario(i);
-    if (s.kind != FailureScenario::Kind::kLink || s.id != i) return std::nullopt;
+    if (s.kind != FailureScenario::Kind::kLink || s.id != i) return false;
   }
-  const std::span<const double> weights = objective.set.weights();
-  return std::vector<double>(weights.begin(), weights.end());
+  return true;
 }
 
 double expected_downtime_minutes(std::span<const double> violations,

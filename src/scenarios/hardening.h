@@ -13,7 +13,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "graph/graph.h"
 #include "scenarios/scenario_set.h"
@@ -61,8 +60,9 @@ struct HardeningObjective {
 };
 
 /// Throws std::invalid_argument when the objective is unusable against `g`:
-/// empty catalog, out-of-range scenario elements, percentile outside [0, 1],
-/// or a non-positive downtime period.
+/// empty catalog, out-of-range scenario elements, a percentile outside
+/// [0, 1], or a downtime period that is not finite and positive. NaN counts
+/// as out of range.
 void validate_objective(const HardeningObjective& objective, const Graph& g);
 
 /// The per-link probabilistic failure model as an objective: every
@@ -71,13 +71,11 @@ void validate_objective(const HardeningObjective& objective, const Graph& g);
 HardeningObjective objective_from_link_probabilities(
     const Graph& g, std::span<const double> probabilities);
 
-/// Detects an objective the per-link optimizer pipeline handles natively: an
+/// True when the objective has the per-link failure model's shape: an
 /// expected-cost objective whose catalog is exactly one single-link failure
 /// per physical link, in link order (what objective_from_link_probabilities
-/// builds). Returns the per-link weight vector then, nullopt otherwise —
-/// nullopt routes the optimizer to the catalog-criticality path.
-std::optional<std::vector<double>> as_per_link_probabilities(
-    const HardeningObjective& objective, std::size_t num_links);
+/// builds). The optimizer's catalog positions are then link ids.
+bool is_per_link_shaped(const HardeningObjective& objective, std::size_t num_links);
 
 /// Expected avoidable downtime in minutes:
 ///   Sum_i weights[i] * max(0, violations[i] - unavoidable[i]) * period_minutes

@@ -1,6 +1,7 @@
 #include "scenarios/scenario_set.h"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +11,8 @@
 namespace dtr {
 
 void ScenarioSet::add(FailureScenario scenario, double weight, std::string name) {
-  if (weight < 0.0) throw std::invalid_argument("ScenarioSet::add: negative weight");
+  if (!std::isfinite(weight) || weight < 0.0)
+    throw std::invalid_argument("ScenarioSet::add: weight must be finite and >= 0");
   if (name.empty()) name = dtr::to_string(scenario);
   scenarios_.push_back(std::move(scenario));
   weights_.push_back(weight);
@@ -27,8 +29,9 @@ void ScenarioSet::replace_weights(std::vector<double> weights) {
   if (weights.size() != scenarios_.size())
     throw std::invalid_argument("ScenarioSet::replace_weights: size mismatch");
   for (const double w : weights)
-    if (w < 0.0)
-      throw std::invalid_argument("ScenarioSet::replace_weights: negative weight");
+    if (!std::isfinite(w) || w < 0.0)
+      throw std::invalid_argument(
+          "ScenarioSet::replace_weights: weight must be finite and >= 0");
   weights_ = std::move(weights);
 }
 

@@ -40,8 +40,9 @@ class ScenarioSet {
 
   double total_weight() const;
 
-  /// Replaces every weight (same size as the catalog, all non-negative;
-  /// throws std::invalid_argument otherwise, leaving the set untouched).
+  /// Replaces every weight (same size as the catalog, all finite and
+  /// non-negative; throws std::invalid_argument otherwise, leaving the set
+  /// untouched).
   /// Scenarios and names are unaffected — reweighting passes use this
   /// instead of rebuilding the catalog.
   void replace_weights(std::vector<double> weights);

@@ -1,6 +1,7 @@
 #include "scenarios/srlg.h"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -38,7 +39,7 @@ std::vector<SrlgGroup> parse_srlg(std::istream& in) {
     } catch (const std::exception&) {
       fail("bad weight: " + v);
     }
-    if (pos != v.size() || out < 0.0) fail("bad weight: " + v);
+    if (pos != v.size() || !std::isfinite(out) || out < 0.0) fail("bad weight: " + v);
     return out;
   };
   const auto parse_ids = [&](const std::string& v) {

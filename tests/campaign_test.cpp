@@ -299,6 +299,9 @@ TEST(CampaignTest, SpecParserRejectsMalformedInput) {
   expect_error("no equals here\n", "expected key = value");
   expect_error("seed = -1\n", "bad seed");  // stoull would wrap mod 2^64
   expect_error("[cell]\nrepeats = 0\n", "repeats must be >= 1");
+  // stod accepts nan/inf; NaN would slip past every range check.
+  expect_error("[cell]\ncritical_fraction = nan\n", "line 2: bad number for key");
+  expect_error("[cell]\nobjective = downtime\nharden_period_min = inf\n", "bad number");
   // Line numbers are reported.
   expect_error("name = x\n\nbogus_key = 1\n", "line 3");
 }

@@ -1,7 +1,7 @@
 /// Hardening-objective API: aggregation-mode parsing, the expected-downtime
 /// arithmetic, per-link-shape detection (objective_from_link_probabilities
-/// round-trips through as_per_link_probabilities and runs the classic
-/// pipeline), the weighted/violation-abort sweep paths, catalog-criticality
+/// builds the per-link shape and runs the per-link pipeline), the
+/// weighted/violation-abort sweep paths, catalog-criticality sampling
 /// determinism (1 vs 8 threads, bytes-equal), and the acceptance contract
 /// that per-link and catalog-mode runs are bit-identical for any thread
 /// count.
@@ -107,6 +107,17 @@ TEST(HardeningTest, ValidateObjectiveRejectsBadInputs) {
   bad_period.period_minutes = 0.0;
   EXPECT_THROW(validate_objective(bad_period, g), std::invalid_argument);
 
+  // Non-finite values fail every `x < 0` / `x > 1` comparison, so each
+  // check must reject them explicitly.
+  HardeningObjective nan_percentile = bad_percentile;
+  nan_percentile.percentile = std::nan("");
+  EXPECT_THROW(validate_objective(nan_percentile, g), std::invalid_argument);
+  for (const double period : {std::nan(""), HUGE_VAL}) {
+    HardeningObjective non_finite_period = bad_period;
+    non_finite_period.period_minutes = period;
+    EXPECT_THROW(validate_objective(non_finite_period, g), std::invalid_argument);
+  }
+
   HardeningObjective ok;
   ok.set.add(FailureScenario::compound({0, 2}, {1}));
   ok.mode = AggregationMode::kExpectedDowntime;
@@ -126,28 +137,26 @@ TEST(HardeningTest, PerLinkShapeDetection) {
     EXPECT_EQ(objective.set.weight(l), probs[l]);
   }
 
-  const auto roundtrip = as_per_link_probabilities(objective, g.num_links());
-  ASSERT_TRUE(roundtrip.has_value());
-  EXPECT_EQ(*roundtrip, probs);
+  EXPECT_TRUE(is_per_link_shaped(objective, g.num_links()));
 
   // Anything that is NOT exactly the per-link single-failure set in link
-  // order routes to the catalog path (nullopt).
+  // order, under expected cost, runs the catalog path.
   HardeningObjective percentile = objective;
   percentile.mode = AggregationMode::kWeightedPercentile;
-  EXPECT_FALSE(as_per_link_probabilities(percentile, g.num_links()).has_value());
+  EXPECT_FALSE(is_per_link_shaped(percentile, g.num_links()));
 
   HardeningObjective shuffled;
   for (LinkId l = 0; l < g.num_links(); ++l) {
     const LinkId rev = static_cast<LinkId>(g.num_links() - 1 - l);
     shuffled.set.add(FailureScenario::link(rev), probs[rev]);
   }
-  EXPECT_FALSE(as_per_link_probabilities(shuffled, g.num_links()).has_value());
+  EXPECT_FALSE(is_per_link_shaped(shuffled, g.num_links()));
 
   HardeningObjective compound = objective;
   compound.set.add(FailureScenario::link_pair(0, 1));
-  EXPECT_FALSE(as_per_link_probabilities(compound, g.num_links()).has_value());
+  EXPECT_FALSE(is_per_link_shaped(compound, g.num_links()));
 
-  EXPECT_FALSE(as_per_link_probabilities(objective, g.num_links() + 1).has_value());
+  EXPECT_FALSE(is_per_link_shaped(objective, g.num_links() + 1));
 
   // Wrong-size probability vectors are refused up front.
   EXPECT_THROW(objective_from_link_probabilities(g, std::vector<double>{0.5, 0.5}),
@@ -232,9 +241,9 @@ TEST(HardeningTest, SummarizeScenariosReportsDowntime) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------ catalog criticality (1b')
+// ------------------------------------------------ catalog criticality (1b)
 
-TEST(HardeningTest, ScenarioCriticalityDeterministicAcrossThreads) {
+TEST(HardeningTest, CatalogTopUpDeterministicAcrossThreads) {
   const TestInstance inst = make_test_instance(12, 4.0, 67, 0.6);
   const Evaluator ev(inst.graph, inst.traffic, inst.params);
 
@@ -260,35 +269,50 @@ TEST(HardeningTest, ScenarioCriticalityDeterministicAcrossThreads) {
   for (const FailureScenario& s : geo.scenarios()) set.add(s);
   ASSERT_GE(set.size(), 4u);
 
+  // The collector indexes catalog positions.
   const CriticalityParams params{};
+  const int wmax = 30;
+  const double b1 = inst.params.sla.b1;
   const long budget = 400;
   ThreadPool one(1);
   ThreadPool eight(8);
 
+  CriticalityCollector seq_collector(set.size(), wmax, b1, params, 91);
   Rng rng_seq(91);
-  const ScenarioCriticality sequential = estimate_scenario_criticality(
-      ev, set.scenarios(), entries, params, budget, rng_seq, &one);
+  const long seq_samples =
+      top_up_criticality_samples(ev, seq_collector, set.scenarios(), entries,
+                                 SamplingMode::kExactFailure, wmax, budget, rng_seq, &one);
+  CriticalityCollector par_collector(set.size(), wmax, b1, params, 91);
   Rng rng_par(91);
-  const ScenarioCriticality parallel = estimate_scenario_criticality(
-      ev, set.scenarios(), entries, params, budget, rng_par, &eight);
+  const long par_samples =
+      top_up_criticality_samples(ev, par_collector, set.scenarios(), entries,
+                                 SamplingMode::kExactFailure, wmax, budget, rng_par, &eight);
 
-  EXPECT_GT(sequential.samples, 0);
-  EXPECT_EQ(sequential.samples, parallel.samples);
-  EXPECT_EQ(sequential.converged, parallel.converged);
-  expect_bytes_equal(sequential.estimates.rho_lambda, parallel.estimates.rho_lambda);
-  expect_bytes_equal(sequential.estimates.rho_phi, parallel.estimates.rho_phi);
-  expect_bytes_equal(sequential.estimates.mean_lambda, parallel.estimates.mean_lambda);
-  expect_bytes_equal(sequential.estimates.mean_phi, parallel.estimates.mean_phi);
-  expect_bytes_equal(sequential.estimates.tail_lambda, parallel.estimates.tail_lambda);
-  expect_bytes_equal(sequential.estimates.tail_phi, parallel.estimates.tail_phi);
+  EXPECT_GT(seq_samples, 0);
+  EXPECT_EQ(seq_samples, par_samples);
+  EXPECT_EQ(seq_collector.converged(), par_collector.converged());
+  const CriticalityEstimates sequential = seq_collector.estimates();
+  const CriticalityEstimates parallel = par_collector.estimates();
+  expect_bytes_equal(sequential.rho_lambda, parallel.rho_lambda);
+  expect_bytes_equal(sequential.rho_phi, parallel.rho_phi);
+  expect_bytes_equal(sequential.mean_lambda, parallel.mean_lambda);
+  expect_bytes_equal(sequential.mean_phi, parallel.mean_phi);
+  expect_bytes_equal(sequential.tail_lambda, parallel.tail_lambda);
+  expect_bytes_equal(sequential.tail_phi, parallel.tail_phi);
 
   // Both RNGs consumed identical draw sequences.
   EXPECT_EQ(rng_seq.uniform_index(1u << 30), rng_par.uniform_index(1u << 30));
 
-  EXPECT_THROW(estimate_scenario_criticality(ev, {}, entries, params, budget, rng_seq),
+  // A catalog that does not match the collector, an empty entry pool, and
+  // emulated sampling over compound scenarios are all refused.
+  EXPECT_THROW(top_up_criticality_samples(ev, seq_collector, {}, entries,
+                                          SamplingMode::kExactFailure, wmax, budget, rng_seq),
                std::invalid_argument);
-  EXPECT_THROW(estimate_scenario_criticality(ev, set.scenarios(), {}, params, budget,
-                                             rng_seq),
+  EXPECT_THROW(top_up_criticality_samples(ev, seq_collector, set.scenarios(), {},
+                                          SamplingMode::kExactFailure, wmax, budget, rng_seq),
+               std::invalid_argument);
+  EXPECT_THROW(top_up_criticality_samples(ev, seq_collector, set.scenarios(), entries,
+                                          SamplingMode::kEmulatedWeights, wmax, budget, rng_seq),
                std::invalid_argument);
 }
 
@@ -326,15 +350,11 @@ TEST(HardeningTest, PerLinkObjectiveRunsClassicPipeline) {
   OptimizerConfig config = smoke_config(77);
   config.objective = objective_from_link_probabilities(inst.graph, probs);
 
-  // The per-link shape is detected and round-trips the weights exactly.
-  const auto per_link =
-      as_per_link_probabilities(*config.objective, inst.graph.num_links());
-  ASSERT_TRUE(per_link.has_value());
-  expect_bytes_equal(*per_link, probs);
+  ASSERT_TRUE(is_per_link_shaped(*config.objective, inst.graph.num_links()));
 
   RobustOptimizer opt(ev, config);
   const OptimizeResult sequential = opt.optimize();
-  // Classic per-link path: no catalog diagnostics.
+  // Per-link path: no catalog diagnostics.
   EXPECT_EQ(sequential.catalog_size, 0u);
   EXPECT_TRUE(sequential.critical_scenarios.empty());
   EXPECT_TRUE(std::isnan(sequential.robust_objective_value));

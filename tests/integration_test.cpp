@@ -1,6 +1,6 @@
 /// End-to-end integration tests pinning the paper's qualitative claims at
 /// smoke scale (seconds, deterministic seeds). These are the invariants that
-/// must survive any scaling of search budgets (DESIGN.md §7).
+/// must survive any scaling of search budgets.
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/optimizer.h"
@@ -168,6 +172,74 @@ TEST(OptimizerTest, ConfigValidation) {
   bad = smoke_config(17);
   bad.chi = -0.5;
   EXPECT_THROW(RobustOptimizer(ev, bad), std::invalid_argument);
+  // NaN fails both `x < 0` and `x > 1`; non-finite values are refused
+  // explicitly, even when critical_count overrides the fraction.
+  for (const double non_finite : {std::nan(""), HUGE_VAL}) {
+    bad = smoke_config(17);
+    bad.critical_fraction = non_finite;
+    EXPECT_THROW(RobustOptimizer(ev, bad), std::invalid_argument) << non_finite;
+    bad.critical_count = 3;
+    EXPECT_THROW(RobustOptimizer(ev, bad), std::invalid_argument) << non_finite;
+    bad = smoke_config(17);
+    bad.chi = non_finite;
+    EXPECT_THROW(RobustOptimizer(ev, bad), std::invalid_argument) << non_finite;
+  }
+}
+
+TEST(OptimizerTest, NoObjectiveMatchesUnitWeightPerLinkObjective) {
+  // No objective means every single-link failure at unit weight under
+  // expected cost: the same catalog objective_from_link_probabilities builds
+  // from all-ones probabilities. Both runs must agree bit for bit, for every
+  // selector and both sampling modes.
+  auto inst = test::make_test_instance(9, 4.0, 37, 0.6);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params);
+  const std::vector<double> ones(inst.graph.num_links(), 1.0);
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out(v.size());
+    if (!v.empty()) std::memcpy(out.data(), v.data(), v.size() * sizeof(double));
+    return out;
+  };
+  for (const SelectorKind selector :
+       {SelectorKind::kDistributionGap, SelectorKind::kRandom, SelectorKind::kLoad,
+        SelectorKind::kThresholdCrossing, SelectorKind::kFullSearch}) {
+    for (const SamplingMode mode :
+         {SamplingMode::kExactFailure, SamplingMode::kEmulatedWeights}) {
+      SCOPED_TRACE(to_string(selector) + " / " + to_string(mode));
+      OptimizerConfig config = smoke_config(37);
+      config.selector = selector;
+      config.sampling_mode = mode;
+      const OptimizeResult plain = RobustOptimizer(ev, config).optimize();
+      config.objective = objective_from_link_probabilities(inst.graph, ones);
+      const OptimizeResult unit = RobustOptimizer(ev, config).optimize();
+
+      EXPECT_TRUE(plain.regular == unit.regular);
+      EXPECT_TRUE(plain.robust == unit.robust);
+      EXPECT_EQ(plain.critical, unit.critical);
+      EXPECT_EQ(bits({plain.robust_kfail.lambda, plain.robust_kfail.phi}),
+                bits({unit.robust_kfail.lambda, unit.robust_kfail.phi}));
+      EXPECT_EQ(bits({plain.robust_normal_cost.lambda, plain.robust_normal_cost.phi}),
+                bits({unit.robust_normal_cost.lambda, unit.robust_normal_cost.phi}));
+      EXPECT_EQ(bits(plain.estimates.rho_lambda), bits(unit.estimates.rho_lambda));
+      EXPECT_EQ(bits(plain.estimates.rho_phi), bits(unit.estimates.rho_phi));
+      EXPECT_EQ(plain.criticality_converged, unit.criticality_converged);
+      EXPECT_EQ(plain.phase1a_samples, unit.phase1a_samples);
+      EXPECT_EQ(plain.phase1b_samples, unit.phase1b_samples);
+      EXPECT_EQ(plain.critical_churn, unit.critical_churn);
+      EXPECT_EQ(plain.phase1_evaluations, unit.phase1_evaluations);
+      EXPECT_EQ(plain.phase2_evaluations, unit.phase2_evaluations);
+      EXPECT_EQ(plain.phase2_scenario_evaluations, unit.phase2_scenario_evaluations);
+      ASSERT_EQ(plain.trace.size(), unit.trace.size());
+      for (std::size_t i = 0; i < plain.trace.size(); ++i) {
+        EXPECT_EQ(plain.trace[i].phase, unit.trace[i].phase);
+        EXPECT_EQ(plain.trace[i].move.link, unit.trace[i].move.link);
+        EXPECT_EQ(bits({plain.trace[i].move.cost.lambda, plain.trace[i].move.cost.phi}),
+                  bits({unit.trace[i].move.cost.lambda, unit.trace[i].move.cost.phi}));
+      }
+      // Both are per-link runs: no catalog diagnostics.
+      EXPECT_EQ(unit.catalog_size, 0u);
+      EXPECT_TRUE(std::isnan(unit.robust_objective_value));
+    }
+  }
 }
 
 TEST(OptimizerTest, FailureProbabilitiesSteerCriticalSelection) {

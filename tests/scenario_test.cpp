@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -199,7 +200,23 @@ TEST(ScenarioTest, SrlgParseValidation) {
   EXPECT_THROW(parse("[srlg]\nlinks = 1x\n"), std::runtime_error); // trailing garbage
   EXPECT_THROW(parse("[srlg]\nlinks = -3\n"), std::runtime_error); // negative id
   EXPECT_THROW(parse("[srlg]\nweight = -1\nlinks = 1\n"), std::runtime_error);
+  EXPECT_THROW(parse("[srlg]\nweight = nan\nlinks = 1\n"), std::runtime_error);
+  EXPECT_THROW(parse("[srlg]\nweight = inf\nlinks = 1\n"), std::runtime_error);
   EXPECT_THROW(parse("[srlg]\nname = empty\n"), std::runtime_error);  // no elements
+}
+
+TEST(ScenarioTest, ScenarioSetRejectsNonFiniteWeights) {
+  ScenarioSet set;
+  set.add(FailureScenario::link(0), 0.5);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
+    EXPECT_THROW(set.add(FailureScenario::link(1), bad), std::invalid_argument) << bad;
+    EXPECT_THROW(set.replace_weights({bad}), std::invalid_argument) << bad;
+  }
+  // Rejected calls leave the set untouched.
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.weight(0), 0.5);
+  set.replace_weights({0.0});
+  EXPECT_EQ(set.weight(0), 0.0);
 }
 
 TEST(ScenarioTest, GeoSrlgsDeterministicAndValid) {
