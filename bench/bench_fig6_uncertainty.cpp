@@ -66,7 +66,7 @@ void print_cell(const CellResult& cell, const std::string& banner) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  const CampaignRunArgs args = parse_bench_args(argc, argv);
   const BenchContext ctx = context_from_env();
   const int trials = ctx.effort == Effort::kFull ? 100
                      : ctx.effort == Effort::kQuick ? 25
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     cell.fluctuation.trials = trials;
     campaign.cells.push_back(std::move(cell));
   }
-  if (!apply_bench_args(args, campaign)) return 0;
+  if (!select_cells(args, campaign, std::cout)) return 0;
 
   print_context(std::cout, "Fig. 6: robustness to traffic uncertainty", ctx);
   const CampaignResult result = run_bench_campaign(args, campaign);

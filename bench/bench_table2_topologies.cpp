@@ -52,7 +52,7 @@ std::shared_ptr<const Graph> make_resized_near(const BenchContext& ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv);
+  const CampaignRunArgs args = parse_bench_args(argc, argv);
   const BenchContext ctx = context_from_env();
 
   Campaign campaign;
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     cell.repeats = ctx.repeats;
     campaign.cells.push_back(std::move(cell));
   }
-  if (!apply_bench_args(args, campaign)) return 0;
+  if (!select_cells(args, campaign, std::cout)) return 0;
 
   print_context(std::cout, "Table II: SLA violations across topologies", ctx);
   // The resize setup costs one optimizer run; only pay it if the extension

@@ -27,7 +27,7 @@
 int main(int argc, char** argv) {
   using namespace dtr;
   using namespace dtr::bench;
-  const BenchArgs args = parse_bench_args(argc, argv);
+  const CampaignRunArgs args = parse_bench_args(argc, argv);
   const BenchContext ctx = context_from_env();
 
   const std::vector<int> sizes = ctx.effort == Effort::kFull
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       campaign.cells.push_back(std::move(cell));
     }
   }
-  if (!apply_bench_args(args, campaign)) return 0;
+  if (!select_cells(args, campaign, std::cout)) return 0;
 
   print_context(std::cout, "Table III: SLA violations vs. network size", ctx);
   const CampaignResult result = run_bench_campaign(args, campaign);

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace dtr;
   using namespace dtr::bench;
-  const BenchArgs args = parse_bench_args(argc, argv);
+  const CampaignRunArgs args = parse_bench_args(argc, argv);
   const BenchContext ctx = context_from_env();
 
   const std::vector<double> degrees{4.0, 6.0, 8.0};
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     cell.repeats = ctx.repeats;
     campaign.cells.push_back(std::move(cell));
   }
-  if (!apply_bench_args(args, campaign)) return 0;
+  if (!select_cells(args, campaign, std::cout)) return 0;
 
   print_context(std::cout, "Table IV: SLA violations vs. mean node degree", ctx);
   const CampaignResult result = run_bench_campaign(args, campaign);

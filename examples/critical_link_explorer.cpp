@@ -16,11 +16,17 @@
 #include "graph/topology.h"
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace dtr;
-  const std::uint64_t seed = argc > 1 ? std::stoull(argv[1]) : 5;
+  std::uint64_t seed = 5;
+  cli::parse_or_exit("critical_link_explorer",
+                     {"critical_link_explorer [seed]",
+                      {},
+                      {cli::value("seed", "", "topology and traffic seed (default 5)", seed)}},
+                     argc, argv);
 
   Graph graph = make_rand_topo({.num_nodes = 14, .avg_degree = 5.0,
                                 .capacity_mbps = 500.0, .seed = seed});

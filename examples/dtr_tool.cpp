@@ -8,7 +8,8 @@
 /// it as dtr.scenarios.v1 JSON; the `tail` subcommand pretty-prints a
 /// dtr.events.v1 JSONL event stream as a live progress view.
 ///
-/// Usage: `dtr_tool --help` prints the synopsis and examples (kUsage below).
+/// Usage: `dtr_tool --help` prints every command's flag table (built from
+/// the same cli::Flags tables that parse the command line) and examples.
 ///
 /// Hardening (availability-aware optimization): --objective switches Phase 2
 /// to a HardeningObjective — a scenario catalog (--harden-set, defaulting to
@@ -75,12 +76,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/metrics.h"
@@ -97,57 +98,20 @@
 #include "telemetry/telemetry.h"
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
+#include "util/cli.h"
+#include "util/presets.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace dtr;
+namespace exp = dtr::experiments;
 
-struct Options {
-  std::string topology = "rand";
-  int nodes = 16;
-  double degree = 5.0;
-  std::uint64_t seed = 1;
-  UtilizationTarget util{UtilizationTarget::Kind::kAverage, 0.43};
-  double theta_ms = 25.0;
-  Effort effort = Effort::kQuick;
-  double fraction = 0.15;
-  std::string in_graph, out_graph, out_weights, out_dot;
-  std::string telemetry_json, trace_out, events_out, trace_events;
-  int metrics_port = -1;  ///< -1 = no exposer; 0 = ephemeral port
-  bool report = false;
-  /// Availability-aware hardening (the --objective / --harden-* flags);
-  /// harden.enabled is set by --objective, mirroring the campaign spec's
-  /// `objective=` opt-in.
-  dtr::experiments::HardenSpec harden;
-};
+constexpr const char* kExamples = R"(Usage: dtr_tool --version   (print the schema versions)
 
-constexpr const char* kUsage = R"(Usage:
-  dtr_tool [--topology rand|near|pl|isp] [--nodes N] [--degree D]
-           [--seed S] [--avg-util U | --max-util U] [--theta MS]
-           [--effort smoke|quick|full] [--fraction F]
-           [--objective expected|percentile|downtime]
-           [--harden-set all_links|all_nodes|k_link|srlg_file|geo_srlg]
-           [--harden-k N] [--harden-budget N] [--harden-srlg-file FILE]
-           [--harden-geo-grid N] [--harden-rates] [--harden-percentile P]
-           [--harden-period MIN]
-           [--in-graph FILE] [--out-graph FILE] [--out-weights FILE]
-           [--out-dot FILE] [--report]
-           [--telemetry-json FILE] [--trace-out FILE]
-           [--events-out FILE] [--trace-events FILE] [--metrics-port N]
-  dtr_tool campaign --spec FILE [--json FILE] [--workers N]
-           [--inner-threads N] [--filter SUBSTR] [--list] [--timings]
-           [--no-incremental]
-           [--telemetry-json FILE] [--trace-out FILE]
-           [--events-out FILE] [--metrics-port N]
-  dtr_tool scenarios --set all_links|all_nodes|k_link|srlg_file|geo_srlg
-           [--k N] [--budget N] [--srlg-file FILE] [--geo-grid N]
-           [--rates] [--topology rand|near|pl|isp] [--nodes N]
-           [--degree D] [--seed S] [--theta MS] [--in-graph FILE]
-           [--json FILE] [--list] [--describe]
-  dtr_tool tail FILE [--follow]
-  dtr_tool --version
-  dtr_tool --help | -h          (also after any subcommand)
+--help / -h prints this text after any subcommand too. Exit status: 0 on
+success, 1 on an internal error or a failed campaign cell, 2 on an input
+error (bad flag or value, unreadable or malformed file, unwritable export).
 
 Examples:
   dtr_tool --topology isp --report --out-weights isp.weights
@@ -160,15 +124,200 @@ Examples:
 )";
 
 [[noreturn]] void usage_error(const std::string& message) {
-  std::cerr << "dtr_tool: " << message << "\n(run dtr_tool --help for usage)\n";
-  std::exit(2);
+  cli::usage_error("dtr_tool", message);
 }
 
-/// `--help` / `-h` anywhere on a command line prints the usage and exits 0.
-void exit_on_help(const std::string& arg) {
-  if (arg != "--help" && arg != "-h") return;
-  std::cout << kUsage;
-  std::exit(0);
+/// Which graph to build: the one-shot path and `scenarios` share it.
+struct TopologyArgs {
+  std::string topology = "rand";
+  std::string in_graph;
+  int nodes = 16;
+  double degree = 5.0;
+  std::uint64_t seed = 1;
+  double theta_ms = 25.0;
+};
+
+/// Telemetry and event exports: the one-shot path and `campaign` share them.
+struct ExportArgs {
+  std::string telemetry_json, trace_out, events_out;
+  int metrics_port = -1;  ///< -1 = no exposer; 0 = ephemeral port
+
+  /// The registry only becomes a sink when something reads it.
+  bool wants_registry() const {
+    return !telemetry_json.empty() || !trace_out.empty() || metrics_port >= 0;
+  }
+};
+
+struct Options {
+  TopologyArgs topo;
+  ExportArgs exports;
+  UtilizationTarget util{UtilizationTarget::Kind::kAverage, 0.43};
+  Effort effort = Effort::kQuick;
+  double fraction = 0.15;
+  std::string out_graph, out_weights, out_dot, trace_events;
+  bool report = false;
+  /// Availability-aware hardening (the --objective / --harden-* flags);
+  /// harden.enabled is set by --objective, mirroring the campaign spec's
+  /// `objective=` opt-in.
+  exp::HardenSpec harden;
+  bool harden_flag_seen = false;  ///< a --harden-* flag without --objective is an error
+};
+
+struct CampaignArgs {
+  std::string spec_path;
+  bool timings = false;
+  exp::CampaignRunArgs run;
+  ExportArgs exports;
+};
+
+struct ScenariosArgs {
+  ScenariosArgs() { spec.kind = exp::ScenarioSpec::Kind::kAllLinks; }
+  exp::ScenarioSpec spec;
+  TopologyArgs topo;
+  std::string json_path;
+  bool list = false, describe = false;
+};
+
+struct TailArgs {
+  std::string path;
+  bool follow = false;
+};
+
+cli::Flags topology_flags(TopologyArgs& t) {
+  return {
+      cli::value("--topology", "rand|near|pl|isp", "topology generator (isp: built-in backbone)",
+                 t.topology),
+      cli::value("--nodes", "N", "routers of a rand/near/pl topology (default 16)", t.nodes),
+      cli::value("--degree", "D", "mean node degree of rand/near (default 5)", t.degree),
+      cli::value("--seed", "S", "topology, traffic and search seed (default 1)", t.seed),
+      cli::value("--theta", "MS", "SLA delay bound in ms (default 25)", t.theta_ms),
+      cli::value("--in-graph", "FILE", "load a dtr-graph file instead of generating one",
+                 t.in_graph),
+  };
+}
+
+/// The scenario-catalog flags. `scenarios` takes them bare (--set, --k, ...);
+/// the one-shot hardening objective takes the same fields as --harden-set,
+/// --harden-k, ...
+cli::Flags catalog_flags(exp::ScenarioSpec& spec, const std::string& prefix) {
+  const std::string p = "--" + prefix;
+  return {
+      {p + "set", "all_links|all_nodes|k_link|srlg_file|geo_srlg", "the failure catalog",
+       [&spec](std::string_view v) {
+         const auto kind = exp::parse_scenario_kind(v);
+         if (!kind || *kind == exp::ScenarioSpec::Kind::kNone)
+           cli::reject("one of all_links|all_nodes|k_link|srlg_file|geo_srlg", v);
+         spec.kind = *kind;
+       }},
+      cli::value(p + "k", "N", "simultaneous failures of k_link (default 2)", spec.k),
+      {p + "budget", "N", "k_link catalog size cap (default 100)",
+       [&spec](std::string_view v) { spec.budget = cli::to_int(v, {.min = 1}); }},
+      cli::value(p + "srlg-file", "FILE", "the .srlg sidecar of srlg_file", spec.srlg_file),
+      cli::value(p + "geo-grid", "N", "conduit grid resolution of geo_srlg (default 4)",
+                 spec.geo_grid),
+      cli::toggle(p + "rates", "weight scenarios by per-element failure rates", spec.rate_weights),
+  };
+}
+
+cli::Flags export_flags(ExportArgs& e) {
+  return {
+      cli::value("--telemetry-json", "FILE", "write the counter registry as dtr.telemetry.v1",
+                 e.telemetry_json),
+      cli::value("--trace-out", "FILE", "write the phase/cell spans as a Chrome trace",
+                 e.trace_out),
+      cli::value("--events-out", "FILE", "stream the run's events as dtr.events.v1 JSONL",
+                 e.events_out),
+      cli::value("--metrics-port", "N", "serve Prometheus metrics on 127.0.0.1:N (0 = any port)",
+                 e.metrics_port, {0, 65535}),
+  };
+}
+
+cli::Command one_shot_command(Options& opt) {
+  cli::Flags harden = cli::join(
+      {catalog_flags(opt.harden.catalog, "harden-"),
+       cli::Flags{
+           {"--harden-percentile", "P", "percentile of the percentile objective (default 0.95)",
+            [&opt](std::string_view v) {
+              const double p = cli::to_double(v);
+              if (!(p >= 0.0 && p <= 1.0)) cli::reject("in [0, 1]", v);
+              opt.harden.catalog.percentile = p;
+            }},
+           {"--harden-period", "MIN", "downtime period in minutes (default 43200)",
+            [&opt](std::string_view v) {
+              const double minutes = cli::to_double(v);
+              if (!std::isfinite(minutes) || minutes <= 0.0)
+                cli::reject("finite and > 0 minutes", v);
+              opt.harden.period_minutes = minutes;
+            }},
+       }});
+  for (cli::Flag& flag : harden) {
+    flag.apply = [&opt, apply = std::move(flag.apply)](std::string_view v) {
+      apply(v);
+      opt.harden_flag_seen = true;
+    };
+  }
+  cli::Flags run{
+      {"--avg-util", "U", "scale traffic to mean min-hop link utilization U (default 0.43)",
+       [&opt](std::string_view v) {
+         opt.util = {UtilizationTarget::Kind::kAverage, cli::to_double(v)};
+       }},
+      {"--max-util", "U", "scale traffic to max min-hop link utilization U",
+       [&opt](std::string_view v) {
+         opt.util = {UtilizationTarget::Kind::kMax, cli::to_double(v)};
+       }},
+      {"--effort", "smoke|quick|full", "search budget preset (default quick)",
+       [&opt](std::string_view v) {
+         const auto effort = parse_effort(v);
+         if (!effort) cli::reject("one of smoke|quick|full", v);
+         opt.effort = *effort;
+       }},
+      cli::value("--fraction", "F", "critical share of links (default 0.15)", opt.fraction),
+      {"--objective", "expected|percentile|downtime", "harden Phase 2 against a failure catalog",
+       [&opt](std::string_view v) {
+         const auto mode = parse_aggregation_mode(v);
+         if (!mode) cli::reject("one of expected|percentile|downtime", v);
+         opt.harden.mode = *mode;
+         opt.harden.enabled = true;
+       }},
+  };
+  cli::Flags outputs{
+      cli::value("--out-graph", "FILE", "write the topology as a dtr-graph file", opt.out_graph),
+      cli::value("--out-weights", "FILE", "write the robust weight setting", opt.out_weights),
+      cli::value("--out-dot", "FILE", "write a Graphviz map", opt.out_dot),
+      cli::toggle("--report", "print the all-single-link-failure report", opt.report),
+      cli::value("--trace-events", "FILE", "replay the convergence trace as dtr.events.v1 JSONL",
+                 opt.trace_events),
+  };
+  return {"dtr_tool [flags]   (optimize one instance and export the results)",
+          cli::join({topology_flags(opt.topo), std::move(run), std::move(harden),
+                     std::move(outputs), export_flags(opt.exports)})};
+}
+
+cli::Command campaign_command(CampaignArgs& a) {
+  cli::Flags own{
+      cli::value("--spec", "FILE", "the campaign spec (keys: header of examples/dtr_tool.cpp)",
+                 a.spec_path),
+      cli::toggle("--timings", "add per-cell wall times to the artifact", a.timings),
+  };
+  return {"dtr_tool campaign --spec FILE [flags]   (artifact on stdout without --json)",
+          cli::join({std::move(own), exp::campaign_run_flags(a.run), export_flags(a.exports)})};
+}
+
+cli::Command scenarios_command(ScenariosArgs& a) {
+  cli::Flags own{
+      cli::value("--json", "FILE", "write the catalog as dtr.scenarios.v1 JSON (default stdout)",
+                 a.json_path),
+      cli::toggle("--list", "print the scenario names", a.list),
+      cli::toggle("--describe", "print a table of the scenarios", a.describe),
+  };
+  return {"dtr_tool scenarios [flags]   (build a failure catalog and export it)",
+          cli::join({catalog_flags(a.spec, ""), topology_flags(a.topo), std::move(own)})};
+}
+
+cli::Command tail_command(TailArgs& a) {
+  return {"dtr_tool tail FILE [--follow]   (pretty-print a dtr.events.v1 stream)",
+          {cli::toggle("--follow", "keep reading as the producer appends", a.follow)},
+          {cli::value("FILE", "", "the events file", a.path)}};
 }
 
 struct BuiltTopology {
@@ -176,10 +325,14 @@ struct BuiltTopology {
   std::vector<std::string> names;  ///< city names (ISP topology only)
 };
 
-/// Flush-and-check after streaming into an export file: an open() that
-/// succeeded can still lose the bytes (full disk, write error on a special
-/// file), and ofstream reports that silently unless someone asks.
-void finish_write(std::ofstream& out, const std::string& path) {
+/// Opens `path`, streams `body` into it and checks the bytes landed: an
+/// open() that succeeded can still lose them (full disk, write error on a
+/// special file), and ofstream reports that silently unless someone asks.
+/// Either failure is an input error (exit 2).
+void write_file(const std::string& path, const std::function<void(std::ostream&)>& body) {
+  std::ofstream out(path);
+  if (!out) usage_error("cannot write " + path);
+  body(out);
   out.flush();
   if (!out) usage_error("failed writing " + path);
 }
@@ -188,22 +341,19 @@ void finish_write(std::ofstream& out, const std::string& path) {
 /// export. Valid (possibly empty-countered) files are still produced when
 /// DTR_TELEMETRY_OFF suppressed collection.
 void export_telemetry(const telemetry::Registry& registry, const std::string& name,
-                      const std::string& telemetry_json, const std::string& trace_out) {
-  if (!telemetry_json.empty()) {
-    std::ofstream out(telemetry_json);
-    if (!out) usage_error("cannot write " + telemetry_json);
-    telemetry::TelemetryJsonOptions options;
-    options.include_spans = true;
-    write_telemetry_json(out, registry, name, options);
-    finish_write(out, telemetry_json);
-    std::cout << "wrote telemetry JSON to " << telemetry_json << "\n";
+                      const ExportArgs& exports) {
+  if (!exports.telemetry_json.empty()) {
+    write_file(exports.telemetry_json, [&](std::ostream& out) {
+      telemetry::TelemetryJsonOptions options;
+      options.include_spans = true;
+      write_telemetry_json(out, registry, name, options);
+    });
+    std::cout << "wrote telemetry JSON to " << exports.telemetry_json << "\n";
   }
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) usage_error("cannot write " + trace_out);
-    write_chrome_trace(out, registry);
-    finish_write(out, trace_out);
-    std::cout << "wrote Chrome trace to " << trace_out << "\n";
+  if (!exports.trace_out.empty()) {
+    write_file(exports.trace_out,
+               [&](std::ostream& out) { write_chrome_trace(out, registry); });
+    std::cout << "wrote Chrome trace to " << exports.trace_out << "\n";
   }
 }
 
@@ -211,19 +361,18 @@ void export_telemetry(const telemetry::Registry& registry, const std::string& na
 /// event in FIFO order, and a trailing process-plane drops record when the
 /// ring overflowed (lossy streams must say so).
 void export_events(telemetry::EventBus& bus, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) usage_error("cannot write " + path);
-  telemetry::write_events_header(out);
   const std::vector<telemetry::Event> events = bus.drain();
-  telemetry::write_events_jsonl(out, events);
-  if (bus.dropped() > 0) {
-    telemetry::Event drops;
-    drops.kind = telemetry::EventKind::kDrops;
-    drops.plane = telemetry::Plane::kProcess;
-    drops.value = bus.dropped();
-    out << telemetry::event_json_line(drops) << "\n";
-  }
-  finish_write(out, path);
+  write_file(path, [&](std::ostream& out) {
+    telemetry::write_events_header(out);
+    telemetry::write_events_jsonl(out, events);
+    if (bus.dropped() > 0) {
+      telemetry::Event drops;
+      drops.kind = telemetry::EventKind::kDrops;
+      drops.plane = telemetry::Plane::kProcess;
+      drops.value = bus.dropped();
+      out << telemetry::event_json_line(drops) << "\n";
+    }
+  });
   std::cout << "wrote " << events.size() << " events to " << path << "\n";
 }
 
@@ -231,9 +380,6 @@ void export_events(telemetry::EventBus& bus, const std::string& path) {
 /// dtr.events.v1 file — the same iteration records the live bus carries, but
 /// reconstructed after the fact from OptimizeResult::trace.
 void export_trace_events(const OptimizeResult& result, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) usage_error("cannot write " + path);
-  telemetry::write_events_header(out);
   std::vector<telemetry::Event> events;
   events.reserve(result.trace.size());
   for (const TraceMove& tm : result.trace) {
@@ -248,8 +394,10 @@ void export_trace_events(const OptimizeResult& result, const std::string& path) 
     e.restart = tm.move.restart;
     events.push_back(std::move(e));
   }
-  telemetry::write_events_jsonl(out, events);
-  finish_write(out, path);
+  write_file(path, [&](std::ostream& out) {
+    telemetry::write_events_header(out);
+    telemetry::write_events_jsonl(out, events);
+  });
   std::cout << "wrote " << events.size() << " trace events to " << path << "\n";
 }
 
@@ -259,7 +407,6 @@ void export_trace_events(const OptimizeResult& result, const std::string& path) 
 std::unique_ptr<telemetry::MetricsExposer> start_exposer(const telemetry::Registry& registry,
                                                          int port) {
   if (port < 0) return nullptr;
-  if (port > 65535) usage_error("--metrics-port must be in [0, 65535]");
   try {
     auto exposer = std::make_unique<telemetry::MetricsExposer>(
         registry, static_cast<std::uint16_t>(port));
@@ -276,215 +423,64 @@ std::unique_ptr<telemetry::MetricsExposer> start_exposer(const telemetry::Regist
 /// like make_workload's (DESIGN §4/§4b), so rate-derived catalog weights
 /// match what a campaign cell computes for the same topology; only loaded
 /// graph files keep their delays verbatim.
-BuiltTopology build_topology(const std::string& topology, const std::string& in_graph,
-                             int nodes, double degree, std::uint64_t seed,
-                             double theta_ms) {
+BuiltTopology build_topology(const TopologyArgs& t) {
   BuiltTopology built;
-  if (!in_graph.empty()) {
-    std::ifstream in(in_graph);
-    if (!in) usage_error("cannot open " + in_graph);
+  if (!t.in_graph.empty()) {
+    std::ifstream in(t.in_graph);
+    if (!in) usage_error("cannot open " + t.in_graph);
     built.graph = read_graph(in);
     return built;
   }
-  if (topology == "isp") {
+  if (t.topology == "isp") {
     IspTopology isp = make_isp_backbone();
     built.graph = std::move(isp.graph);
     built.names = std::move(isp.city_names);
-    calibrate_delays_to_sla(built.graph, theta_ms);
+    calibrate_delays_to_sla(built.graph, t.theta_ms);
     return built;
   }
-  if (topology == "rand") {
-    built.graph = make_rand_topo({nodes, degree, 500.0, seed});
-  } else if (topology == "near") {
-    built.graph = make_near_topo({nodes, degree, 500.0, seed});
-  } else if (topology == "pl") {
-    built.graph = make_pl_topo({nodes, 3, 500.0, seed});
+  if (t.topology == "rand") {
+    built.graph = make_rand_topo({t.nodes, t.degree, 500.0, t.seed});
+  } else if (t.topology == "near") {
+    built.graph = make_near_topo({t.nodes, t.degree, 500.0, t.seed});
+  } else if (t.topology == "pl") {
+    built.graph = make_pl_topo({t.nodes, 3, 500.0, t.seed});
   } else {
-    usage_error("unknown topology: " + topology);
+    usage_error("unknown topology: " + t.topology);
   }
-  calibrate_delays_to_sla(built.graph, theta_ms);
+  calibrate_delays_to_sla(built.graph, t.theta_ms);
   return built;
 }
 
-Options parse_args(int argc, char** argv) {
-  namespace exp = dtr::experiments;
-  Options opt;
-  bool harden_flag_seen = false;
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    exit_on_help(arg);
-    if (arg == "--report") {
-      opt.report = true;
-      continue;
-    }
-    if (arg == "--harden-rates") {
-      opt.harden.catalog.rate_weights = true;
-      harden_flag_seen = true;
-      continue;
-    }
-    if (arg.rfind("--", 0) != 0 || i + 1 >= argc) usage_error("bad argument: " + arg);
-    flags[arg] = argv[++i];
-  }
-  for (const auto& [flag, value] : flags) {
-    if (flag == "--topology") opt.topology = value;
-    else if (flag == "--objective") {
-      const auto mode = parse_aggregation_mode(value);
-      if (!mode.has_value()) usage_error("unknown objective: " + value);
-      opt.harden.mode = *mode;
-      opt.harden.enabled = true;
-    } else if (flag == "--harden-set") {
-      if (value == "all_links") opt.harden.catalog.kind = exp::ScenarioSpec::Kind::kAllLinks;
-      else if (value == "all_nodes") opt.harden.catalog.kind = exp::ScenarioSpec::Kind::kAllNodes;
-      else if (value == "k_link") opt.harden.catalog.kind = exp::ScenarioSpec::Kind::kKLink;
-      else if (value == "srlg_file") opt.harden.catalog.kind = exp::ScenarioSpec::Kind::kSrlgFile;
-      else if (value == "geo_srlg") opt.harden.catalog.kind = exp::ScenarioSpec::Kind::kGeoSrlg;
-      else usage_error("unknown hardening set: " + value);
-      harden_flag_seen = true;
-    } else if (flag == "--harden-k") {
-      opt.harden.catalog.k = std::stoi(value);
-      harden_flag_seen = true;
-    } else if (flag == "--harden-budget") {
-      const long budget = std::stol(value);
-      if (budget < 1) usage_error("--harden-budget must be >= 1");
-      opt.harden.catalog.budget = static_cast<std::size_t>(budget);
-      harden_flag_seen = true;
-    } else if (flag == "--harden-srlg-file") {
-      opt.harden.catalog.srlg_file = value;
-      harden_flag_seen = true;
-    } else if (flag == "--harden-geo-grid") {
-      opt.harden.catalog.geo_grid = std::stoi(value);
-      harden_flag_seen = true;
-    } else if (flag == "--harden-percentile") {
-      const double p = std::stod(value);
-      if (!(p >= 0.0 && p <= 1.0)) usage_error("--harden-percentile must be in [0, 1]");
-      opt.harden.catalog.percentile = p;
-      harden_flag_seen = true;
-    } else if (flag == "--harden-period") {
-      const double minutes = std::stod(value);
-      if (!std::isfinite(minutes) || minutes <= 0.0)
-        usage_error("--harden-period must be finite and > 0 minutes");
-      opt.harden.period_minutes = minutes;
-      harden_flag_seen = true;
-    }
-    else if (flag == "--nodes") opt.nodes = std::stoi(value);
-    else if (flag == "--degree") opt.degree = std::stod(value);
-    else if (flag == "--seed") opt.seed = std::stoull(value);
-    else if (flag == "--avg-util")
-      opt.util = {UtilizationTarget::Kind::kAverage, std::stod(value)};
-    else if (flag == "--max-util")
-      opt.util = {UtilizationTarget::Kind::kMax, std::stod(value)};
-    else if (flag == "--theta") opt.theta_ms = std::stod(value);
-    else if (flag == "--fraction") opt.fraction = std::stod(value);
-    else if (flag == "--effort") {
-      if (value == "smoke") opt.effort = Effort::kSmoke;
-      else if (value == "quick") opt.effort = Effort::kQuick;
-      else if (value == "full") opt.effort = Effort::kFull;
-      else usage_error("unknown effort: " + value);
-    } else if (flag == "--in-graph") opt.in_graph = value;
-    else if (flag == "--out-graph") opt.out_graph = value;
-    else if (flag == "--out-weights") opt.out_weights = value;
-    else if (flag == "--out-dot") opt.out_dot = value;
-    else if (flag == "--telemetry-json") opt.telemetry_json = value;
-    else if (flag == "--trace-out") opt.trace_out = value;
-    else if (flag == "--events-out") opt.events_out = value;
-    else if (flag == "--trace-events") opt.trace_events = value;
-    else if (flag == "--metrics-port") {
-      opt.metrics_port = std::stoi(value);
-      if (opt.metrics_port < 0 || opt.metrics_port > 65535)
-        usage_error("--metrics-port must be in [0, 65535]");
-    }
-    else usage_error("unknown flag: " + flag);
-  }
-  if (harden_flag_seen && !opt.harden.enabled)
-    usage_error("--harden-* flags need --objective expected|percentile|downtime");
-  if (opt.harden.enabled &&
-      opt.harden.catalog.kind == exp::ScenarioSpec::Kind::kSrlgFile &&
-      opt.harden.catalog.srlg_file.empty())
-    usage_error("--harden-set srlg_file needs --harden-srlg-file FILE");
-  return opt;
-}
+int run_campaign(const CampaignArgs& args) {
+  if (args.spec_path.empty()) usage_error("campaign needs --spec FILE");
+  std::ifstream in(args.spec_path);
+  if (!in) usage_error("cannot open " + args.spec_path);
 
-int run_campaign_command(int argc, char** argv) {
-  namespace exp = dtr::experiments;
-  std::string spec_path, json_path, filter, telemetry_json, trace_out, events_out;
-  int workers = 0, inner_threads = 1, metrics_port = -1;
-  bool list = false, timings = false;
-  // --no-incremental switches to the full-recompute reference oracle: results
-  // are bit-identical (the CI golden gate proves it), so it exists to
-  // cross-check and time the incremental path.
-  dtr::EvaluatorConfig eval_config;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    exit_on_help(arg);
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage_error(arg + " needs a value");
-      return argv[++i];
-    };
-    const auto next_count = [&]() -> int {
-      const std::string text = next();
-      const auto count = exp::parse_worker_count(text);
-      if (!count.has_value())
-        usage_error(arg + " needs a count in [0, 4096], got '" + text + "'");
-      return *count;
-    };
-    if (arg == "--spec") spec_path = next();
-    else if (arg == "--json") json_path = next();
-    else if (arg == "--filter") filter = next();
-    else if (arg == "--workers") workers = next_count();
-    else if (arg == "--inner-threads") inner_threads = next_count();
-    else if (arg == "--list") list = true;
-    else if (arg == "--timings") timings = true;
-    else if (arg == "--no-incremental") eval_config.incremental = false;
-    else if (arg == "--telemetry-json") telemetry_json = next();
-    else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--events-out") events_out = next();
-    else if (arg == "--metrics-port") {
-      metrics_port = std::stoi(next());
-      if (metrics_port < 0 || metrics_port > 65535)
-        usage_error("--metrics-port must be in [0, 65535]");
-    }
-    else usage_error("unknown campaign flag: " + arg);
-  }
-  if (spec_path.empty()) usage_error("campaign needs --spec FILE");
-  std::ifstream in(spec_path);
-  if (!in) usage_error("cannot open " + spec_path);
+  exp::Campaign campaign = exp::parse_campaign_spec(in);
+  if (!exp::select_cells(args.run, campaign, std::cout)) return 0;
 
-  exp::Campaign campaign;
-  try {
-    campaign = exp::parse_campaign_spec(in);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-  exp::filter_cells(campaign, filter);
-  if (list) {
-    for (const exp::CampaignCell& cell : campaign.cells) std::cout << cell.id << "\n";
-    return 0;
-  }
-
-  // The registry only becomes a sink when an export was requested; the
-  // campaign artifact's bytes are identical either way (test-enforced).
+  // The campaign artifact's bytes are identical with or without a registry
+  // sink (test-enforced).
   telemetry::Registry registry;
-  exp::CampaignOptions options{workers, inner_threads, eval_config};
-  if (!telemetry_json.empty() || !trace_out.empty() || metrics_port >= 0)
-    options.telemetry = &registry;
+  exp::CampaignOptions options = args.run.options;
+  if (args.exports.wants_registry()) options.telemetry = &registry;
   // Sized for every cell's full smoke/quick stream at once: per-cell buses
   // are drained into this sink in one burst after the parallel barrier.
   telemetry::EventBus event_sink(1 << 18);
-  if (!events_out.empty()) options.events = &event_sink;
-  const auto exposer = start_exposer(registry, metrics_port);
+  if (!args.exports.events_out.empty()) options.events = &event_sink;
+  const auto exposer = start_exposer(registry, args.exports.metrics_port);
   const exp::CampaignResult result = exp::run_campaign(campaign, options);
 
   exp::CampaignJsonOptions json_options;
-  json_options.include_timings = timings;
+  json_options.include_timings = args.timings;
+  const std::string& json_path = args.run.json_path;
   if (json_path.empty()) {
     // Artifact on stdout, human summary suppressed (pipe-friendly).
     exp::write_campaign_json(std::cout, result, json_options);
   } else {
-    std::ofstream out(json_path);
-    if (!out) usage_error("cannot write " + json_path);
-    exp::write_campaign_json(out, result, json_options);
-    finish_write(out, json_path);
+    write_file(json_path, [&](std::ostream& out) {
+      exp::write_campaign_json(out, result, json_options);
+    });
     std::cout << "wrote campaign JSON to " << json_path << "\n";
     Table table({"cell", "reps", "error", "beta R", "beta NR"});
     for (const exp::CellResult& cell : result.cells) {
@@ -497,78 +493,28 @@ int run_campaign_command(int argc, char** argv) {
     }
     table.print(std::cout);
   }
-  export_telemetry(registry, campaign.name, telemetry_json, trace_out);
-  if (!events_out.empty()) export_events(event_sink, events_out);
+  export_telemetry(registry, campaign.name, args.exports);
+  if (!args.exports.events_out.empty()) export_events(event_sink, args.exports.events_out);
   int failures = 0;
   for (const exp::CellResult& cell : result.cells)
     if (!cell.error.empty()) ++failures;
   return failures > 0 ? 1 : 0;
 }
 
-int run_scenarios_command(int argc, char** argv) {
-  namespace exp = dtr::experiments;
-  exp::ScenarioSpec spec;
-  spec.kind = exp::ScenarioSpec::Kind::kAllLinks;
-  spec.budget = 100;
-  std::string set_name = "all_links", topology = "rand", in_graph, json_path;
-  int nodes = 16;
-  double degree = 5.0, theta_ms = 25.0;
-  std::uint64_t seed = 1;
-  bool list = false, describe = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    exit_on_help(arg);
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage_error(arg + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--set") {
-      set_name = next();
-      if (set_name == "all_links") spec.kind = exp::ScenarioSpec::Kind::kAllLinks;
-      else if (set_name == "all_nodes") spec.kind = exp::ScenarioSpec::Kind::kAllNodes;
-      else if (set_name == "k_link") spec.kind = exp::ScenarioSpec::Kind::kKLink;
-      else if (set_name == "srlg_file") spec.kind = exp::ScenarioSpec::Kind::kSrlgFile;
-      else if (set_name == "geo_srlg") spec.kind = exp::ScenarioSpec::Kind::kGeoSrlg;
-      else usage_error("unknown scenario set: " + set_name);
-    } else if (arg == "--k") spec.k = std::stoi(next());
-    else if (arg == "--budget") {
-      // Same floor as the campaign spec's scenario_budget: a zero budget
-      // would silently emit an empty catalog.
-      const long budget = std::stol(next());
-      if (budget < 1) usage_error("--budget must be >= 1");
-      spec.budget = static_cast<std::size_t>(budget);
-    } else if (arg == "--srlg-file") spec.srlg_file = next();
-    else if (arg == "--geo-grid") spec.geo_grid = std::stoi(next());
-    else if (arg == "--rates") spec.rate_weights = true;
-    else if (arg == "--topology") topology = next();
-    else if (arg == "--nodes") nodes = std::stoi(next());
-    else if (arg == "--degree") degree = std::stod(next());
-    else if (arg == "--seed") seed = std::stoull(next());
-    else if (arg == "--theta") theta_ms = std::stod(next());
-    else if (arg == "--in-graph") in_graph = next();
-    else if (arg == "--json") json_path = next();
-    else if (arg == "--list") list = true;
-    else if (arg == "--describe") describe = true;
-    else usage_error("unknown scenarios flag: " + arg);
-  }
+int run_scenarios(const ScenariosArgs& args) {
+  const exp::ScenarioSpec& spec = args.spec;
   if (spec.kind == exp::ScenarioSpec::Kind::kSrlgFile && spec.srlg_file.empty())
     usage_error("scenarios --set srlg_file needs --srlg-file FILE");
 
-  const Graph graph =
-      build_topology(topology, in_graph, nodes, degree, seed, theta_ms).graph;
+  const Graph graph = build_topology(args.topo).graph;
+  const ScenarioSet set = exp::build_scenario_set(spec, graph, args.topo.seed);
+  const std::string set_name = exp::to_string(spec.kind);
 
-  ScenarioSet set;
-  try {
-    set = exp::build_scenario_set(spec, graph, seed);
-  } catch (const std::exception& e) {
-    usage_error(e.what());
-  }
-
-  if (list) {
+  if (args.list) {
     for (std::size_t i = 0; i < set.size(); ++i) std::cout << set.name(i) << "\n";
     return 0;
   }
-  if (describe) {
+  if (args.describe) {
     Table table({"scenario", "kind", "links", "nodes", "weight"});
     for (std::size_t i = 0; i < set.size(); ++i) {
       std::size_t num_links = 0, num_nodes = 0;
@@ -586,14 +532,12 @@ int run_scenarios_command(int argc, char** argv) {
     table.print(std::cout);
     return 0;
   }
-  if (json_path.empty()) {
+  if (args.json_path.empty()) {
     write_scenario_set_json(std::cout, set, set_name);
   } else {
-    std::ofstream out(json_path);
-    if (!out) usage_error("cannot write " + json_path);
-    write_scenario_set_json(out, set, set_name);
-    finish_write(out, json_path);
-    std::cout << "wrote " << set.size() << " scenarios to " << json_path << "\n";
+    write_file(args.json_path,
+               [&](std::ostream& out) { write_scenario_set_json(out, set, set_name); });
+    std::cout << "wrote " << set.size() << " scenarios to " << args.json_path << "\n";
   }
   return 0;
 }
@@ -666,24 +610,14 @@ void print_event_line(const std::string& line, std::ostream& os) {
 /// `dtr_tool tail FILE [--follow]` — live progress view over an events file.
 /// --follow keeps polling for appended lines (reader-side tail -f; the writer
 /// needs no cooperation) until interrupted.
-int run_tail_command(int argc, char** argv) {
-  std::string path;
-  bool follow = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    exit_on_help(arg);
-    if (arg == "--follow") follow = true;
-    else if (arg.rfind("--", 0) == 0) usage_error("unknown tail flag: " + arg);
-    else if (path.empty()) path = arg;
-    else usage_error("tail takes one FILE");
-  }
-  if (path.empty()) usage_error("tail needs an events FILE");
-  std::ifstream in(path);
-  if (!in) usage_error("cannot open " + path);
+int run_tail(const TailArgs& args) {
+  if (args.path.empty()) usage_error("tail needs an events FILE");
+  std::ifstream in(args.path);
+  if (!in) usage_error("cannot open " + args.path);
   std::string line;
   for (;;) {
     while (std::getline(in, line)) print_event_line(line, std::cout);
-    if (!follow) break;
+    if (!args.follow) break;
     std::cout.flush();
     in.clear();  // getline hit EOF; clear so appended bytes become readable
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -691,60 +625,46 @@ int run_tail_command(int argc, char** argv) {
   return 0;
 }
 
-int dispatch(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "--version") {
-    std::cout << "dtr_tool schemas: " << dtr::experiments::kCampaignSchema << " "
-              << telemetry::kTelemetrySchema << " " << telemetry::kEventsSchema << "\n";
-    return 0;
-  }
-  if (argc >= 2 && std::string(argv[1]) == "campaign")
-    return run_campaign_command(argc, argv);
-  if (argc >= 2 && std::string(argv[1]) == "scenarios")
-    return run_scenarios_command(argc, argv);
-  if (argc >= 2 && std::string(argv[1]) == "tail")
-    return run_tail_command(argc, argv);
-  const Options opt = parse_args(argc, argv);
+/// The one-shot path: build, optimize, report, export.
+int run_one_shot(const Options& opt) {
+  if (opt.harden_flag_seen && !opt.harden.enabled)
+    usage_error("--harden-* flags need --objective expected|percentile|downtime");
+  if (opt.harden.enabled && opt.harden.catalog.kind == exp::ScenarioSpec::Kind::kSrlgFile &&
+      opt.harden.catalog.srlg_file.empty())
+    usage_error("--harden-set srlg_file needs --harden-srlg-file FILE");
 
   // ---- topology
-  BuiltTopology built = build_topology(opt.topology, opt.in_graph, opt.nodes,
-                                       opt.degree, opt.seed, opt.theta_ms);
+  BuiltTopology built = build_topology(opt.topo);
   Graph& graph = built.graph;
   const std::vector<std::string>& names = built.names;
   EvalParams params;
-  params.sla.theta_ms = opt.theta_ms;
+  params.sla.theta_ms = opt.topo.theta_ms;
 
   // ---- traffic
   ClassedTraffic traffic =
-      split_by_class(make_gravity_traffic(graph, {1.0, 1.0, opt.seed + 1}), 0.30);
+      split_by_class(make_gravity_traffic(graph, {1.0, 1.0, opt.topo.seed + 1}), 0.30);
   scale_to_utilization(graph, traffic, opt.util);
 
   // ---- optimize
   telemetry::Registry registry;
-  telemetry::Registry* telemetry_sink =
-      (opt.telemetry_json.empty() && opt.trace_out.empty() && opt.metrics_port < 0)
-          ? nullptr
-          : &registry;
+  telemetry::Registry* telemetry_sink = opt.exports.wants_registry() ? &registry : nullptr;
   EvaluatorConfig eval_config;
   eval_config.telemetry = telemetry_sink;
   const Evaluator evaluator(graph, traffic, params, eval_config);
-  OptimizerConfig config = default_optimizer_config(opt.effort, opt.seed);
+  OptimizerConfig config = default_optimizer_config(opt.effort, opt.topo.seed);
   config.critical_fraction = opt.fraction;
   config.telemetry = telemetry_sink;
   telemetry::EventBus events;
-  if (!opt.events_out.empty()) config.events = &events;
-  const auto exposer = start_exposer(registry, opt.metrics_port);
+  if (!opt.exports.events_out.empty()) config.events = &events;
+  const auto exposer = start_exposer(registry, opt.exports.metrics_port);
   if (opt.harden.enabled) {
-    try {
-      config.objective = dtr::experiments::build_hardening_objective(
-          opt.harden, graph, opt.seed + opt.harden.seed_offset);
-    } catch (const std::exception& e) {
-      usage_error(e.what());
-    }
+    config.objective = exp::build_hardening_objective(opt.harden, graph,
+                                                      opt.topo.seed + opt.harden.seed_offset);
   }
   RobustOptimizer optimizer(evaluator, config);
   const OptimizeResult result = optimizer.optimize();
 
-  std::cout << "topology: " << (opt.in_graph.empty() ? opt.topology : opt.in_graph)
+  std::cout << "topology: " << (opt.topo.in_graph.empty() ? opt.topo.topology : opt.topo.in_graph)
             << "  nodes=" << graph.num_nodes() << " links=" << graph.num_links()
             << " (arcs=" << graph.num_arcs() << ")\n";
   std::cout << "normal cost regular: " << to_string(result.regular_cost)
@@ -761,19 +681,18 @@ int dispatch(int argc, char** argv) {
 
   // ---- exports
   if (!opt.out_graph.empty()) {
-    std::ofstream out(opt.out_graph);
-    write_graph(out, graph);
+    write_file(opt.out_graph, [&](std::ostream& out) { write_graph(out, graph); });
     std::cout << "wrote graph to " << opt.out_graph << "\n";
   }
   if (!opt.out_weights.empty()) {
-    std::ofstream out(opt.out_weights);
-    out << "# robust DTR weights (delay throughput), seed " << opt.seed << "\n";
-    write_weights(out, result.robust);
+    write_file(opt.out_weights, [&](std::ostream& out) {
+      out << "# robust DTR weights (delay throughput), seed " << opt.topo.seed << "\n";
+      write_weights(out, result.robust);
+    });
     std::cout << "wrote robust weights to " << opt.out_weights << "\n";
   }
   if (!opt.out_dot.empty()) {
-    std::ofstream out(opt.out_dot);
-    out << to_dot(graph, names);
+    write_file(opt.out_dot, [&](std::ostream& out) { out << to_dot(graph, names); });
     std::cout << "wrote Graphviz map to " << opt.out_dot << "\n";
   }
 
@@ -795,20 +714,54 @@ int dispatch(int argc, char** argv) {
   // totals — exactly once, after every consumer above is done with it)
   if (telemetry_sink != nullptr) {
     evaluator.flush_cache_stats_to_telemetry();
-    export_telemetry(registry, "dtr_tool", opt.telemetry_json, opt.trace_out);
+    export_telemetry(registry, "dtr_tool", opt.exports);
   }
-  if (!opt.events_out.empty()) export_events(events, opt.events_out);
+  if (!opt.exports.events_out.empty()) export_events(events, opt.exports.events_out);
   if (!opt.trace_events.empty()) export_trace_events(result, opt.trace_events);
   return 0;
+}
+
+int dispatch(int argc, char** argv) {
+  const std::string subcommand = argc >= 2 ? argv[1] : "";
+  if (subcommand == "--version") {
+    std::cout << "dtr_tool schemas: " << exp::kCampaignSchema << " "
+              << telemetry::kTelemetrySchema << " " << telemetry::kEventsSchema << "\n";
+    return 0;
+  }
+  Options one_shot;
+  CampaignArgs campaign;
+  ScenariosArgs scenarios;
+  TailArgs tail;
+  const cli::Command commands[] = {one_shot_command(one_shot), campaign_command(campaign),
+                                   scenarios_command(scenarios), tail_command(tail)};
+  const int which = subcommand == "campaign"    ? 1
+                    : subcommand == "scenarios" ? 2
+                    : subcommand == "tail"      ? 3
+                                                : 0;
+  // Bad input throws cli::Error, which main maps to exit 2.
+  if (cli::parse(commands[which], argc, argv, which == 0 ? 1 : 2) == cli::Parsed::kHelp) {
+    for (const cli::Command& command : commands) {
+      cli::print_usage(std::cout, command);
+      std::cout << "\n";
+    }
+    std::cout << kExamples;
+    return 0;
+  }
+  switch (which) {
+    case 1: return run_campaign(campaign);
+    case 2: return run_scenarios(scenarios);
+    case 3: return run_tail(tail);
+    default: return run_one_shot(one_shot);
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   // Everything the dispatch throws ends here instead of in std::terminate:
-  // input errors — unparsable numbers, malformed graph files, invalid
-  // generator parameters — exit 2 like every other usage error; anything
-  // else is an internal failure.
+  // input errors — bad flags and values, malformed spec or graph files,
+  // invalid generator parameters — exit 2 like every other usage error;
+  // anything else is an internal failure (exit 1).
   try {
     return dispatch(argc, argv);
   } catch (const std::invalid_argument& e) {

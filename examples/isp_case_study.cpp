@@ -15,11 +15,17 @@
 #include "graph/isp.h"
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace dtr;
-  const std::uint64_t seed = argc > 1 ? std::stoull(argv[1]) : 7;
+  std::uint64_t seed = 7;
+  cli::parse_or_exit("isp_case_study",
+                     {"isp_case_study [seed]",
+                      {},
+                      {cli::value("seed", "", "traffic seed (default 7)", seed)}},
+                     argc, argv);
 
   IspTopology isp = make_isp_backbone();
   EvalParams params;  // theta = 25ms: coast-to-coast SLA

@@ -16,11 +16,17 @@
 #include "graph/topology.h"
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace dtr;
-  const std::uint64_t seed = argc > 1 ? std::stoull(argv[1]) : 42;
+  std::uint64_t seed = 42;
+  cli::parse_or_exit("quickstart",
+                     {"quickstart [seed]",
+                      {},
+                      {cli::value("seed", "", "topology and traffic seed (default 42)", seed)}},
+                     argc, argv);
 
   // 1. A 16-node random topology with 2-edge-connectivity (no single link
   //    failure can partition it), delays calibrated to the 25 ms SLA bound.

@@ -14,13 +14,21 @@
 #include "traffic/gravity.h"
 #include "traffic/scaling.h"
 #include "traffic/uncertainty.h"
+#include "util/cli.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace dtr;
-  const std::uint64_t seed = argc > 1 ? std::stoull(argv[1]) : 11;
-  const int trials = argc > 2 ? std::stoi(argv[2]) : 20;
+  std::uint64_t seed = 11;
+  int trials = 20;
+  cli::parse_or_exit("traffic_uncertainty",
+                     {"traffic_uncertainty [seed] [trials]",
+                      {},
+                      {cli::value("seed", "", "topology and traffic seed (default 11)", seed),
+                       cli::value("trials", "", "perturbed matrices per model (default 20)",
+                                  trials)}},
+                     argc, argv);
 
   Graph graph = make_rand_topo({.num_nodes = 16, .avg_degree = 5.0,
                                 .capacity_mbps = 500.0, .seed = seed});

@@ -115,6 +115,14 @@ std::string to_string(ScenarioSpec::Kind kind) {
   return "?";
 }
 
+std::optional<ScenarioSpec::Kind> parse_scenario_kind(std::string_view text) {
+  for (const auto kind :
+       {ScenarioSpec::Kind::kNone, ScenarioSpec::Kind::kAllLinks, ScenarioSpec::Kind::kAllNodes,
+        ScenarioSpec::Kind::kKLink, ScenarioSpec::Kind::kSrlgFile, ScenarioSpec::Kind::kGeoSrlg})
+    if (to_string(kind) == text) return kind;
+  return std::nullopt;
+}
+
 ScenarioSet build_scenario_set(const ScenarioSpec& spec, const Graph& g,
                                std::uint64_t seed) {
   ScenarioSet set;
@@ -555,11 +563,26 @@ MetricRow standard_cell_rep(const CampaignCell& cell, Effort effort,
   return row;
 }
 
-std::optional<int> parse_worker_count(const std::string& text) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < 0 || v > 4096) return std::nullopt;
-  return static_cast<int>(v);
+cli::Flags campaign_run_flags(CampaignRunArgs& args) {
+  constexpr cli::Range<int> kThreads{0, 4096};  // 0 = hardware concurrency
+  return {
+      cli::value("--json", "FILE", "write the campaign JSON artifact to FILE", args.json_path),
+      cli::value("--filter", "SUBSTR", "run only cells whose id contains SUBSTR", args.filter),
+      cli::toggle("--list", "print the selected cell ids and exit", args.list),
+      cli::value("--workers", "N", "cell-level shards (0 = hardware concurrency, the default)",
+                 args.options.workers, kThreads),
+      cli::value("--inner-threads", "N", "per-cell engine threads when cells run one at a time",
+                 args.options.inner_threads, kThreads),
+      {"--no-incremental", "", "evaluate with the full-recompute reference oracle",
+       [&args](std::string_view) { args.options.eval_config.incremental = false; }},
+  };
+}
+
+bool select_cells(const CampaignRunArgs& args, Campaign& campaign, std::ostream& os) {
+  filter_cells(campaign, args.filter);
+  if (!args.list) return true;
+  for (const CampaignCell& cell : campaign.cells) os << cell.id << "\n";
+  return false;
 }
 
 void filter_cells(Campaign& campaign, std::string_view substr) {
@@ -590,48 +613,31 @@ Campaign parse_campaign_spec(std::istream& in) {
     throw std::runtime_error("campaign spec line " + std::to_string(lineno) + ": " +
                              message);
   };
-  // All three insist the whole token parses: stod/stoi alone would accept
-  // trailing garbage and silently truncate typos like "12x7". Doubles must
-  // also be finite: stod accepts "nan" and "inf", and NaN slips past every
-  // range check. Error messages name the offending KEY alongside the line
-  // number, so a typo deep in a many-cell spec points straight at its
-  // directive.
-  const auto parse_double = [&](const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    double out = 0.0;
-    try {
-      out = std::stod(v, &pos);
-    } catch (const std::exception&) {
-      fail("bad number for key '" + key + "': " + v);
-    }
-    if (pos != v.size() || !std::isfinite(out))
-      fail("bad number for key '" + key + "': " + v);
-    return out;
+  // The strict cli parsers insist the whole token parses (no silently
+  // truncated "12x7"), doubles are finite and seeds don't wrap a minus sign.
+  // Error messages name the offending KEY alongside the line number, so a
+  // typo deep in a many-cell spec points straight at its directive.
+  const auto parse_int = [&](const std::string& key, const std::string& v,
+                             cli::Range<int> range = {}) {
+    const std::optional<int> out = cli::parse_int(v);
+    if (!out) fail("bad integer for key '" + key + "': " + v);
+    if (!range.contains(*out)) fail(key + " must be " + cli::describe(range) + ", got " + v);
+    return *out;
   };
-  const auto parse_int = [&](const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    int out = 0;
-    try {
-      out = std::stoi(v, &pos);
-    } catch (const std::exception&) {
-      fail("bad integer for key '" + key + "': " + v);
-    }
-    if (pos != v.size()) fail("bad integer for key '" + key + "': " + v);
-    return out;
+  const auto parse_double = [&](const std::string& key, const std::string& v,
+                                cli::Range<double> range = {}) {
+    const std::optional<double> out = cli::parse_double(v);
+    if (!out) fail("bad number for key '" + key + "': " + v);
+    if (!range.contains(*out)) fail(key + " must be " + cli::describe(range) + ", got " + v);
+    return *out;
   };
   const auto parse_u64 = [&](const std::string& key, const std::string& v) {
-    std::size_t pos = 0;
-    std::uint64_t out = 0;
-    // stoull would silently wrap a leading minus modulo 2^64.
-    if (!v.empty() && v[0] == '-') fail("bad seed for key '" + key + "': " + v);
-    try {
-      out = static_cast<std::uint64_t>(std::stoull(v, &pos));
-    } catch (const std::exception&) {
-      fail("bad seed for key '" + key + "': " + v);
-    }
-    if (pos != v.size()) fail("bad seed for key '" + key + "': " + v);
-    return out;
+    const std::optional<std::uint64_t> out = cli::parse_u64(v);
+    if (!out) fail("bad seed for key '" + key + "': " + v);
+    return *out;
   };
+  constexpr cli::Range<int> kPositive{.min = 1};
+  constexpr cli::Range<double> kUnit{0.0, 1.0};
 
   while (std::getline(in, line)) {
     ++lineno;
@@ -653,24 +659,18 @@ Campaign parse_campaign_spec(std::istream& in) {
     // Shared by `scenario_set` and `harden_set`: the same catalog kinds name
     // WHAT is reported on and WHAT is hardened against.
     const auto parse_catalog_kind = [&](const std::string& k, const std::string& v) {
-      if (v == "none") return ScenarioSpec::Kind::kNone;
-      if (v == "all_links") return ScenarioSpec::Kind::kAllLinks;
-      if (v == "all_nodes") return ScenarioSpec::Kind::kAllNodes;
-      if (v == "k_link") return ScenarioSpec::Kind::kKLink;
-      if (v == "srlg_file") return ScenarioSpec::Kind::kSrlgFile;
-      if (v == "geo_srlg") return ScenarioSpec::Kind::kGeoSrlg;
-      fail("unknown value for key '" + k + "': " + v);
-      return ScenarioSpec::Kind::kNone;  // unreachable
+      const std::optional<ScenarioSpec::Kind> kind = parse_scenario_kind(v);
+      if (!kind) fail("unknown value for key '" + k + "': " + v);
+      return *kind;
     };
 
     if (cell == nullptr) {
       if (key == "name") campaign.name = value;
       else if (key == "seed") campaign.seed = parse_u64(key, value);
       else if (key == "effort") {
-        if (value == "smoke") campaign.effort = Effort::kSmoke;
-        else if (value == "quick") campaign.effort = Effort::kQuick;
-        else if (value == "full") campaign.effort = Effort::kFull;
-        else fail("unknown value for key 'effort': " + value);
+        const std::optional<Effort> effort = parse_effort(value);
+        if (!effort) fail("unknown value for key 'effort': " + value);
+        campaign.effort = *effort;
       } else {
         fail("unknown campaign key: " + key);
       }
@@ -725,23 +725,16 @@ Campaign parse_campaign_spec(std::istream& in) {
       cell->spec.util = {UtilizationTarget::Kind::kMax, parse_double(key, value)};
     else if (key == "delay_fraction") cell->spec.delay_fraction = parse_double(key, value);
     else if (key == "seed") cell->spec.seed = parse_u64(key, value);
-    else if (key == "repeats") {
-      cell->repeats = parse_int(key, value);
-      // Nothing downstream consumes repeats <= 0; it would just yield a cell
-      // that "succeeds" with zero reps.
-      if (cell->repeats < 1) fail("repeats must be >= 1, got " + value);
-    }
+    // Nothing downstream consumes repeats <= 0; it would just yield a cell
+    // that "succeeds" with zero reps.
+    else if (key == "repeats") cell->repeats = parse_int(key, value, kPositive);
     else if (key == "seed_stride") cell->seed_stride = parse_u64(key, value);
     else if (key == "critical_fraction")
       cell->critical_fraction = parse_double(key, value);
-    else if (key == "phase1b_samples") {
-      cell->phase1b_samples = parse_int(key, value);
-      if (cell->phase1b_samples < 1) fail("phase1b_samples must be >= 1, got " + value);
-    }
-    else if (key == "phase_iterations") {
-      cell->phase_iterations = parse_int(key, value);
-      if (cell->phase_iterations < 1) fail("phase_iterations must be >= 1, got " + value);
-    }
+    else if (key == "phase1b_samples")
+      cell->phase1b_samples = parse_int(key, value, kPositive);
+    else if (key == "phase_iterations")
+      cell->phase_iterations = parse_int(key, value, kPositive);
     else if (key == "floor") cell->unavoidable_floor = parse_int(key, value) != 0;
     else if (key == "fluctuation") {
       if (value == "none") cell->fluctuation.model = FluctuationSpec::Model::kNone;
@@ -770,22 +763,13 @@ Campaign parse_campaign_spec(std::istream& in) {
     else if (key == "scale_max")
       cell->fluctuation.hot_spot.scale_max = parse_double(key, value);
     else if (key == "scenario_set") cell->scenario.kind = parse_catalog_kind(key, value);
-    else if (key == "k_link") {
-      cell->scenario.k = parse_int(key, value);
-      if (cell->scenario.k < 1) fail("k_link must be >= 1, got " + value);
-    } else if (key == "scenario_budget") {
-      const int budget = parse_int(key, value);
-      if (budget < 1) fail("scenario_budget must be >= 1, got " + value);
-      cell->scenario.budget = static_cast<std::size_t>(budget);
-    } else if (key == "srlg_file") cell->scenario.srlg_file = value;
-    else if (key == "geo_grid") {
-      cell->scenario.geo_grid = parse_int(key, value);
-      if (cell->scenario.geo_grid < 1) fail("geo_grid must be >= 1, got " + value);
-    } else if (key == "percentile") {
-      cell->scenario.percentile = parse_double(key, value);
-      if (cell->scenario.percentile < 0.0 || cell->scenario.percentile > 1.0)
-        fail("percentile must be in [0, 1], got " + value);
-    } else if (key == "rate_weights")
+    else if (key == "k_link") cell->scenario.k = parse_int(key, value, kPositive);
+    else if (key == "scenario_budget")
+      cell->scenario.budget = static_cast<std::size_t>(parse_int(key, value, kPositive));
+    else if (key == "srlg_file") cell->scenario.srlg_file = value;
+    else if (key == "geo_grid") cell->scenario.geo_grid = parse_int(key, value, kPositive);
+    else if (key == "percentile") cell->scenario.percentile = parse_double(key, value, kUnit);
+    else if (key == "rate_weights")
       cell->scenario.rate_weights = parse_int(key, value) != 0;
     else if (key == "objective") {
       const std::optional<AggregationMode> mode = parse_aggregation_mode(value);
@@ -796,25 +780,17 @@ Campaign parse_campaign_spec(std::istream& in) {
       cell->harden.mode = *mode;
     } else if (key == "harden_set")
       cell->harden.catalog.kind = parse_catalog_kind(key, value);
-    else if (key == "harden_k") {
-      cell->harden.catalog.k = parse_int(key, value);
-      if (cell->harden.catalog.k < 1) fail("harden_k must be >= 1, got " + value);
-    } else if (key == "harden_budget") {
-      const int budget = parse_int(key, value);
-      if (budget < 1) fail("harden_budget must be >= 1, got " + value);
-      cell->harden.catalog.budget = static_cast<std::size_t>(budget);
-    } else if (key == "harden_srlg_file") cell->harden.catalog.srlg_file = value;
-    else if (key == "harden_geo_grid") {
-      cell->harden.catalog.geo_grid = parse_int(key, value);
-      if (cell->harden.catalog.geo_grid < 1)
-        fail("harden_geo_grid must be >= 1, got " + value);
-    } else if (key == "harden_rate_weights")
+    else if (key == "harden_k") cell->harden.catalog.k = parse_int(key, value, kPositive);
+    else if (key == "harden_budget")
+      cell->harden.catalog.budget = static_cast<std::size_t>(parse_int(key, value, kPositive));
+    else if (key == "harden_srlg_file") cell->harden.catalog.srlg_file = value;
+    else if (key == "harden_geo_grid")
+      cell->harden.catalog.geo_grid = parse_int(key, value, kPositive);
+    else if (key == "harden_rate_weights")
       cell->harden.catalog.rate_weights = parse_int(key, value) != 0;
-    else if (key == "harden_percentile") {
-      cell->harden.catalog.percentile = parse_double(key, value);
-      if (cell->harden.catalog.percentile < 0.0 || cell->harden.catalog.percentile > 1.0)
-        fail("harden_percentile must be in [0, 1], got " + value);
-    } else if (key == "harden_period_min") {
+    else if (key == "harden_percentile")
+      cell->harden.catalog.percentile = parse_double(key, value, kUnit);
+    else if (key == "harden_period_min") {
       cell->harden.period_minutes = parse_double(key, value);
       if (cell->harden.period_minutes <= 0.0)
         fail("harden_period_min must be > 0, got " + value);

@@ -25,6 +25,7 @@
 #include "scenarios/hardening.h"
 #include "scenarios/scenario_set.h"
 #include "traffic/uncertainty.h"
+#include "util/cli.h"
 
 namespace dtr {
 class ThreadPool;
@@ -77,6 +78,8 @@ struct ScenarioSpec {
 };
 
 std::string to_string(ScenarioSpec::Kind kind);
+/// Inverse of to_string; nullopt on an unknown name.
+std::optional<ScenarioSpec::Kind> parse_scenario_kind(std::string_view text);
 
 /// Availability-aware hardening attachment (spec keys `objective`,
 /// `harden_set`, `harden_k`, `harden_budget`, `harden_srlg_file`,
@@ -253,10 +256,22 @@ Campaign parse_campaign_spec(std::istream& in);
 /// Keeps only cells whose id contains `substr` (empty keeps everything).
 void filter_cells(Campaign& campaign, std::string_view substr);
 
-/// Parses a --workers / --inner-threads style CLI value: the whole token
-/// must be an integer in [0, 4096] (0 = hardware concurrency). nullopt on
-/// anything else — shared by every campaign front end so the validation
-/// can't drift.
-std::optional<int> parse_worker_count(const std::string& text);
+/// What the campaign-running flags set: shared by `dtr_tool campaign` and
+/// every sweep-style bench binary, so their validation can't drift.
+struct CampaignRunArgs {
+  std::string json_path;  ///< --json: write the artifact here
+  std::string filter;     ///< --filter: keep cells whose id contains it
+  bool list = false;      ///< --list: print the selected cell ids and stop
+  /// --workers (default 0 = hardware concurrency), --inner-threads,
+  /// --no-incremental (the full-recompute reference oracle).
+  CampaignOptions options{.workers = 0};
+};
+
+/// --json, --filter, --list, --workers, --inner-threads, --no-incremental.
+cli::Flags campaign_run_flags(CampaignRunArgs& args);
+
+/// Applies --filter, then --list: prints the selected ids to `os` and
+/// returns false when the caller should stop there.
+bool select_cells(const CampaignRunArgs& args, Campaign& campaign, std::ostream& os);
 
 }  // namespace dtr::experiments

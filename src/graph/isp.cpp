@@ -11,6 +11,7 @@
 
 #include "graph/connectivity.h"
 #include "graph/graph_io.h"
+#include "graph/topology.h"
 #include "util/rng.h"
 
 namespace dtr {
@@ -127,6 +128,7 @@ std::size_t preferential_pick(Rng& rng, std::span<const int> w) {
 }  // namespace
 
 Graph make_isp_topo(const IspGenParams& p) {
+  check_node_limit(p.num_nodes);
   if (p.num_pops < 3) throw std::invalid_argument("make_isp_topo: need >= 3 PoPs");
   if (p.cores_per_pop < 2)
     throw std::invalid_argument("make_isp_topo: need >= 2 cores per PoP");

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,7 @@ void place_nodes_uniformly(Graph& g, int n, Rng& rng) {
 
 int target_link_count(const SynthTopoParams& p) {
   if (p.num_nodes < 3) throw std::invalid_argument("topology: need >= 3 nodes");
+  check_node_limit(p.num_nodes);
   // Negated so NaN fails too.
   if (!(p.avg_degree >= 2.0)) throw std::invalid_argument("topology: avg_degree must be >= 2");
   if (p.avg_degree > p.num_nodes - 1)
@@ -107,12 +109,18 @@ void ensure_two_edge_connected(Graph& g, std::set<NodePair>& used, double capaci
 
 }  // namespace
 
+void check_node_limit(int num_nodes) {
+  if (num_nodes > kMaxTopologyNodes)
+    throw std::invalid_argument("topology: num_nodes must be <= " +
+                                std::to_string(kMaxTopologyNodes));
+}
+
 Graph make_rand_topo(const SynthTopoParams& params) {
+  const int target = target_link_count(params);
   Rng rng(params.seed);
   Graph g;
   place_nodes_uniformly(g, params.num_nodes, rng);
   const int n = params.num_nodes;
-  const int target = target_link_count(params);
 
   std::set<NodePair> used;
   // Random cycle: 2-edge-connected backbone touching every node.
@@ -139,11 +147,11 @@ Graph make_rand_topo(const SynthTopoParams& params) {
 }
 
 Graph make_near_topo(const SynthTopoParams& params) {
+  const int target = target_link_count(params);
   Rng rng(params.seed);
   Graph g;
   place_nodes_uniformly(g, params.num_nodes, rng);
   const int n = params.num_nodes;
-  const int target = target_link_count(params);
 
   std::set<NodePair> used;
   // Round-robin nearest-neighbor attachment: in each round every node links
@@ -175,6 +183,7 @@ Graph make_near_topo(const SynthTopoParams& params) {
 }
 
 Graph make_pl_topo(const PowerLawParams& params) {
+  check_node_limit(params.num_nodes);
   if (params.num_nodes <= params.attachments)
     throw std::invalid_argument("make_pl_topo: need num_nodes > attachments");
   if (params.attachments < 2)

@@ -6,6 +6,16 @@
 
 namespace dtr {
 
+/// Largest router count any generator builds (RandTopo, NearTopo, PLTopo and
+/// the ISP generator) — the top scale tier. Evaluation keeps a dense n x n
+/// traffic matrix and per-destination label state, so far larger graphs
+/// would exhaust memory long before an optimizer run finished.
+inline constexpr int kMaxTopologyNodes = 10000;
+
+/// Throws std::invalid_argument("topology: num_nodes must be <= 10000")
+/// above kMaxTopologyNodes.
+void check_node_limit(int num_nodes);
+
 /// Synthesized-topology parameters (Sec. V-A1). Nodes are placed uniformly at
 /// random in a unit square; propagation delays derive from Euclidean distance
 /// and are then calibrated against the SLA bound via

@@ -1,6 +1,7 @@
 #include "traffic/scaling.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -25,8 +26,8 @@ UtilizationSummary min_hop_utilization(const Graph& g, const TrafficMatrix& tm) 
 
 double scale_to_utilization(const Graph& g, TrafficMatrix& tm,
                             const UtilizationTarget& target) {
-  if (!(target.value > 0.0))
-    throw std::invalid_argument("scale_to_utilization: target must be > 0");
+  if (!(target.value > 0.0) || !std::isfinite(target.value))
+    throw std::invalid_argument("scale_to_utilization: target must be finite and > 0");
   const UtilizationSummary current = min_hop_utilization(g, tm);
   const double reference =
       target.kind == UtilizationTarget::Kind::kAverage ? current.average : current.max;

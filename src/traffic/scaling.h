@@ -19,7 +19,8 @@ struct UtilizationTarget {
   double value = 0.43;
 };
 
-/// Scales `tm` in place; returns the factor applied.
+/// Scales `tm` in place; returns the factor applied. Throws
+/// std::invalid_argument unless the target is finite and > 0.
 double scale_to_utilization(const Graph& g, TrafficMatrix& tm,
                             const UtilizationTarget& target);
 

@@ -12,11 +12,7 @@ const char* getenv_or_null(const char* name) { return std::getenv(name); }
 Effort effort_from_env(Effort fallback) {
   const char* raw = getenv_or_null("DTR_EFFORT");
   if (raw == nullptr) return fallback;
-  const std::string v(raw);
-  if (v == "smoke") return Effort::kSmoke;
-  if (v == "quick") return Effort::kQuick;
-  if (v == "full") return Effort::kFull;
-  return fallback;
+  return parse_effort(raw).value_or(fallback);
 }
 
 int repeats_from_env(int fallback) {
@@ -47,6 +43,12 @@ std::string to_string(Effort e) {
     case Effort::kFull: return "full";
   }
   return "quick";
+}
+
+std::optional<Effort> parse_effort(std::string_view text) {
+  for (const Effort e : {Effort::kSmoke, Effort::kQuick, Effort::kFull})
+    if (to_string(e) == text) return e;
+  return std::nullopt;
 }
 
 }  // namespace dtr

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace dtr {
 
@@ -29,5 +31,7 @@ unsigned long long seed_from_env(unsigned long long fallback);
 int nodes_from_env(int fallback);
 
 std::string to_string(Effort e);
+/// Inverse of to_string; nullopt on an unknown name.
+std::optional<Effort> parse_effort(std::string_view text);
 
 }  // namespace dtr

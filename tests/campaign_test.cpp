@@ -306,15 +306,22 @@ TEST(CampaignTest, SpecParserRejectsMalformedInput) {
   expect_error("name = x\n\nbogus_key = 1\n", "line 3");
 }
 
-TEST(CampaignTest, ParseWorkerCount) {
-  EXPECT_EQ(parse_worker_count("0"), 0);
-  EXPECT_EQ(parse_worker_count("8"), 8);
-  EXPECT_EQ(parse_worker_count("4096"), 4096);
-  EXPECT_FALSE(parse_worker_count("4097").has_value());
-  EXPECT_FALSE(parse_worker_count("-1").has_value());
-  EXPECT_FALSE(parse_worker_count("eight").has_value());
-  EXPECT_FALSE(parse_worker_count("8x").has_value());
-  EXPECT_FALSE(parse_worker_count("").has_value());
+TEST(CampaignTest, CampaignRunFlags) {
+  CampaignRunArgs args;
+  const cli::Command command{"bench", campaign_run_flags(args)};
+  const char* argv[] = {"bench",   "--workers", "4096", "--inner-threads", "0",
+                        "--filter", "rand",     "--list", "--no-incremental"};
+  EXPECT_EQ(cli::parse(command, 9, argv), cli::Parsed::kOk);
+  EXPECT_EQ(args.options.workers, 4096);
+  EXPECT_EQ(args.options.inner_threads, 0);
+  EXPECT_EQ(args.filter, "rand");
+  EXPECT_TRUE(args.list);
+  EXPECT_FALSE(args.options.eval_config.incremental);
+  EXPECT_EQ(CampaignRunArgs{}.options.workers, 0);  // hardware concurrency by default
+  for (const char* bad : {"4097", "-1", "eight", "8x", ""}) {
+    const char* bad_argv[] = {"bench", "--workers", bad};
+    EXPECT_THROW(cli::parse(command, 3, bad_argv), cli::Error) << bad;
+  }
 }
 
 TEST(CampaignTest, FilterCells) {

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiments/campaign.h"
@@ -35,6 +36,7 @@
 #include "routing/evaluator.h"
 #include "routing/failures.h"
 #include "routing/weights.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace dtr {
@@ -217,19 +219,17 @@ void fuzz_evaluator(Rng& rng) {
 }  // namespace dtr
 
 int main(int argc, char** argv) {
+  namespace cli = dtr::cli;
   std::uint64_t seed = 0;
   double budget_seconds = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--budget-seconds" && i + 1 < argc) {
-      budget_seconds = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--budget-seconds S]\n", argv[0]);
-      return 2;
-    }
-  }
+  cli::parse_or_exit(
+      "differential_fuzz",
+      {"differential_fuzz [--seed N] [--budget-seconds S]",
+       {{"--seed", "N", "fuzz seed (0 or absent: a fixed default)",
+         [&](std::string_view v) { seed = cli::to_u64(v); }},
+        {"--budget-seconds", "S", "wall-clock fuzzing budget (default 20)",
+         [&](std::string_view v) { budget_seconds = cli::to_double(v); }}}},
+      argc, argv);
   if (seed == 0) seed = 0x9e3779b97f4a7c15ull;  // fixed default for local runs
   dtr::g_seed = seed;
   std::printf("differential_fuzz: seed=%llu budget=%.1fs (replay: --seed %llu)\n",
@@ -250,5 +250,10 @@ int main(int argc, char** argv) {
   std::printf("differential_fuzz: %llu iterations in %.1fs, %d divergences\n",
               static_cast<unsigned long long>(dtr::g_iteration), elapsed,
               dtr::g_failures);
+  // A run that compared nothing proved nothing: it must not pass the gate.
+  if (dtr::g_iteration == 0) {
+    std::fprintf(stderr, "differential_fuzz: no iterations ran within the budget\n");
+    return 1;
+  }
   return dtr::g_failures == 0 ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 #include "graph/connectivity.h"
 #include "graph/graph_io.h"
 #include "graph/isp.h"
+#include "graph/topology.h"
 #include "scenarios/srlg.h"
 
 namespace dtr {
@@ -101,6 +102,9 @@ TEST(IspGenTest, RejectsInvalidParams) {
   EXPECT_THROW(make_isp_topo(p), std::invalid_argument);
   p = smoke_params();
   p.backbone_degree = 1.0;
+  EXPECT_THROW(make_isp_topo(p), std::invalid_argument);
+  p = smoke_params();
+  p.num_nodes = kMaxTopologyNodes + 1;
   EXPECT_THROW(make_isp_topo(p), std::invalid_argument);
 }
 

@@ -21,13 +21,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiments/workloads.h"
 #include "routing/failures.h"
+#include "util/cli.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -47,29 +47,22 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--nodes") args.nodes = std::atoi(next());
-    else if (arg == "--pops") args.pops = std::atoi(next());
-    else if (arg == "--avg-degree") args.avg_degree = std::atof(next());
-    else if (arg == "--threads") args.threads = std::atoi(next());
-    else if (arg == "--full-sample") args.full_sample = std::atoi(next());
-    else if (arg == "--seed") args.seed = std::strtoull(next(), nullptr, 10);
-    else {
-      std::fprintf(stderr,
-                   "unknown flag %s (flags: --nodes N, --pops N, --avg-degree D, "
-                   "--threads N, --full-sample N, --seed S)\n",
-                   arg.c_str());
-      std::exit(2);
-    }
-  }
+  cli::parse_or_exit(
+      "scale_check",
+      {"scale_check [flags]",
+       {{"--nodes", "N", "routers (default 120)",
+         [&](std::string_view v) { args.nodes = cli::to_int(v); }},
+        {"--pops", "N", "points of presence (default 8)",
+         [&](std::string_view v) { args.pops = cli::to_int(v); }},
+        {"--avg-degree", "D", "mean degree, 0 = pure hierarchy (default 0)",
+         [&](std::string_view v) { args.avg_degree = cli::to_double(v); }},
+        {"--threads", "N", "worker threads of the N-thread sweep (default 4)",
+         [&](std::string_view v) { args.threads = cli::to_int(v); }},
+        {"--full-sample", "N", "scenarios recomputed in full (default 8)",
+         [&](std::string_view v) { args.full_sample = cli::to_int(v); }},
+        {"--seed", "S", "topology and traffic seed (default 1)",
+         [&](std::string_view v) { args.seed = cli::to_u64(v); }}}},
+      argc, argv);
   return args;
 }
 

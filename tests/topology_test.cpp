@@ -167,6 +167,17 @@ TEST(PlTopoTest, RejectsBadParameters) {
   EXPECT_THROW(make_pl_topo({10, 1, 500.0, 1}), std::invalid_argument);
 }
 
+TEST(TopologyLimitTest, GeneratorsRejectMoreThanTheLargestTier) {
+  // Rejected before any node is placed: 2e9 routers must fail fast, not
+  // allocate.
+  for (const int n : {kMaxTopologyNodes + 1, 2000000000}) {
+    EXPECT_THROW(make_rand_topo({n, 3.0, 500.0, 1}), std::invalid_argument);
+    EXPECT_THROW(make_near_topo({n, 3.0, 500.0, 1}), std::invalid_argument);
+    EXPECT_THROW(make_pl_topo({n, 3, 500.0, 1}), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(check_node_limit(kMaxTopologyNodes));
+}
+
 // ------------------------------------------------ delays and calibration
 
 TEST(DelayTest, SetDelaysFromPositionsUsesDistance) {

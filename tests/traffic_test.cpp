@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/isp.h"
 #include "graph/topology.h"
 #include "test_helpers.h"
@@ -173,6 +175,19 @@ TEST(ScalingTest, Validation) {
   TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 9});
   EXPECT_THROW(scale_to_utilization(g, tm, {UtilizationTarget::Kind::kAverage, 0.0}),
                std::invalid_argument);
+}
+
+TEST(ScalingTest, RejectsNonFiniteTarget) {
+  const Graph g = make_rand_topo({10, 4.0, 500.0, 8});
+  TrafficMatrix tm = make_gravity_traffic(g, {1.0, 1.0, 9});
+  const double before = tm.total();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(scale_to_utilization(g, tm, {UtilizationTarget::Kind::kMax, inf}),
+               std::invalid_argument);
+  EXPECT_THROW(scale_to_utilization(g, tm, {UtilizationTarget::Kind::kAverage,
+                                            std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  EXPECT_EQ(tm.total(), before);  // a rejected target leaves the matrix untouched
 }
 
 TEST(ScalingTest, MaxAtLeastAverage) {

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/cli.h"
 #include "util/presets.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -282,6 +285,155 @@ TEST(PresetsTest, ToString) {
   EXPECT_EQ(to_string(Effort::kSmoke), "smoke");
   EXPECT_EQ(to_string(Effort::kQuick), "quick");
   EXPECT_EQ(to_string(Effort::kFull), "full");
+}
+
+TEST(PresetsTest, ParseEffortInvertsToString) {
+  for (const Effort e : {Effort::kSmoke, Effort::kQuick, Effort::kFull})
+    EXPECT_EQ(parse_effort(to_string(e)), e);
+  EXPECT_FALSE(parse_effort("warp").has_value());
+  EXPECT_FALSE(parse_effort("").has_value());
+}
+
+// ---------------------------------------------------------------- cli
+
+TEST(CliTest, StrictInt) {
+  EXPECT_EQ(cli::parse_int("8"), 8);
+  EXPECT_EQ(cli::parse_int("-3"), -3);
+  EXPECT_FALSE(cli::parse_int("8abc").has_value());  // no silent truncation
+  EXPECT_FALSE(cli::parse_int("12x7").has_value());
+  EXPECT_FALSE(cli::parse_int("").has_value());
+  EXPECT_FALSE(cli::parse_int("eight").has_value());
+  EXPECT_FALSE(cli::parse_int("3.5").has_value());
+  EXPECT_FALSE(cli::parse_int("99999999999").has_value());  // beyond int
+}
+
+TEST(CliTest, StrictDouble) {
+  EXPECT_EQ(cli::parse_double("0.25"), 0.25);
+  EXPECT_EQ(cli::parse_double("1e3"), 1000.0);
+  EXPECT_FALSE(cli::parse_double("3x").has_value());
+  EXPECT_FALSE(cli::parse_double("0.1.5").has_value());
+  EXPECT_FALSE(cli::parse_double("").has_value());
+  for (const char* non_finite : {"nan", "inf", "-inf", "1e999"})
+    EXPECT_FALSE(cli::parse_double(non_finite).has_value()) << non_finite;
+}
+
+TEST(CliTest, FlagDoublesLeaveFinitenessToTheConsumer) {
+  EXPECT_EQ(cli::to_double("2.5"), 2.5);
+  EXPECT_TRUE(std::isinf(cli::to_double("inf")));
+  EXPECT_TRUE(std::isnan(cli::to_double("nan")));
+  EXPECT_THROW(cli::to_double("3x"), cli::Error);
+  EXPECT_THROW(cli::to_double(""), cli::Error);
+}
+
+TEST(CliTest, StrictU64) {
+  EXPECT_EQ(cli::parse_u64("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(cli::parse_u64("0"), 0u);
+  EXPECT_FALSE(cli::parse_u64("-1").has_value());  // would wrap mod 2^64
+  EXPECT_FALSE(cli::parse_u64(" -1").has_value());
+  EXPECT_FALSE(cli::parse_u64("18446744073709551616").has_value());
+  EXPECT_FALSE(cli::parse_u64("7s").has_value());
+}
+
+TEST(CliTest, Range) {
+  constexpr cli::Range<int> kCount{0, 4096};
+  EXPECT_EQ(cli::to_int("0", kCount), 0);
+  EXPECT_EQ(cli::to_int("4096", kCount), 4096);
+  EXPECT_THROW(cli::to_int("4097", kCount), cli::Error);
+  EXPECT_THROW(cli::to_int("-1", kCount), cli::Error);
+  constexpr cli::Range<double> kUnit{0.0, 1.0};
+  EXPECT_TRUE(kUnit.contains(1.0));
+  EXPECT_FALSE(kUnit.contains(1.5));
+  EXPECT_FALSE(kUnit.contains(std::nan("")));
+  EXPECT_EQ(cli::describe(kCount), "in [0, 4096]");
+  EXPECT_EQ(cli::describe(cli::Range<int>{.min = 1}), ">= 1");
+  EXPECT_EQ(cli::describe(cli::Range<double>{.max = 2.5}), "<= 2.5");
+  try {
+    cli::to_int("9000", kCount);
+    FAIL() << "expected a range error";
+  } catch (const cli::Error& e) {
+    EXPECT_STREQ(e.what(), "must be in [0, 4096], got '9000'");
+  }
+}
+
+/// A small command: --n N, --x X, the --on switch, and one positional.
+struct CliFixture {
+  int n = 0;
+  double x = 0.0;
+  bool on = false;
+  std::vector<std::string> order;
+  std::string file;
+  cli::Command command{
+      "tool [flags] FILE",
+      {{"--n", "N", "an integer",
+        [this](std::string_view v) {
+          n = cli::to_int(v);
+          order.emplace_back("n");
+        }},
+       {"--x", "X", "a number", [this](std::string_view v) { x = cli::to_double(v); }},
+       {"--on", "", "a switch",
+        [this](std::string_view) {
+          on = true;
+          order.emplace_back("on");
+        }}},
+      {{"FILE", "", "the input", [this](std::string_view v) { file = v; }}}};
+
+  cli::Parsed parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "tool");
+    return cli::parse(command, static_cast<int>(args.size()), args.data());
+  }
+  std::string error(std::vector<const char*> args) {
+    try {
+      parse(std::move(args));
+    } catch (const cli::Error& e) {
+      return e.what();
+    }
+    return "no error";
+  }
+};
+
+TEST(CliTest, AppliesFlagsSwitchesAndPositionalsInArgvOrder) {
+  CliFixture f;
+  EXPECT_EQ(f.parse({"--on", "in.txt", "--n", "3", "--x", "0.5", "--n", "7"}), cli::Parsed::kOk);
+  EXPECT_TRUE(f.on);
+  EXPECT_EQ(f.n, 7);  // the last occurrence wins
+  EXPECT_EQ(f.x, 0.5);
+  EXPECT_EQ(f.file, "in.txt");
+  EXPECT_EQ(f.order, (std::vector<std::string>{"on", "n", "n"}));
+}
+
+TEST(CliTest, RejectsBadInputNamingTheFlag) {
+  CliFixture f;
+  EXPECT_EQ(f.error({"--n", "8abc"}), "--n must be an integer, got '8abc'");
+  EXPECT_EQ(f.error({"--x", "0.5.1"}), "--x must be a number, got '0.5.1'");
+  EXPECT_EQ(f.error({"--bogus"}), "unknown flag: --bogus");
+  EXPECT_EQ(f.error({"--n"}), "--n needs a value");
+  EXPECT_EQ(f.error({"a", "b"}), "unexpected argument: b");
+  EXPECT_EQ(f.error({"--on", "-1"}), "unknown flag: -1");
+}
+
+TEST(CliTest, HelpWinsWithoutApplyingAnything) {
+  for (const char* help : {"--help", "-h"}) {
+    CliFixture f;
+    EXPECT_EQ(f.parse({"--n", "3", help, "--bogus"}), cli::Parsed::kHelp);
+    EXPECT_EQ(f.n, 0);
+  }
+}
+
+TEST(CliTest, UsageListsEveryFlag) {
+  CliFixture f;
+  std::ostringstream os;
+  cli::print_usage(os, f.command);
+  const std::string usage = os.str();
+  EXPECT_EQ(usage.rfind("Usage: tool [flags] FILE\n", 0), 0u) << usage;
+  for (const char* line : {"  --n N", "  --x X", "  --on ", "  FILE "})
+    EXPECT_NE(usage.find(line), std::string::npos) << line << "\n" << usage;
+}
+
+TEST(CliTest, JoinConcatenatesGroups) {
+  const cli::Flags joined = cli::join({cli::Flags{{"--a", "", "", {}}},
+                                       cli::Flags{{"--b", "", "", {}}, {"--c", "", "", {}}}});
+  ASSERT_EQ(joined.size(), 3u);
+  EXPECT_EQ(joined[2].name, "--c");
 }
 
 }  // namespace
