@@ -74,6 +74,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -625,6 +626,29 @@ int run_tail(const TailArgs& args) {
   return 0;
 }
 
+/// Below this share of base-cache misses patched from a donor, the search's
+/// single-link probes are being rebuilt from scratch: the incumbent they
+/// perturb has left the cache.
+constexpr double kMinDonorRatio = 0.5;
+
+/// One-line base-cache health of the run, plus a `warn:` line when the
+/// donor ratio is under kMinDonorRatio. Cache counters depend on the thread
+/// shape, so this goes to stdout only, never into an artifact.
+void print_cache_health(std::ostream& os, const EvaluatorCacheStats& s) {
+  const double donor_ratio =
+      s.misses > 0 ? static_cast<double>(s.weight_patched) / static_cast<double>(s.misses)
+                   : 1.0;
+  char ratio[32];
+  std::snprintf(ratio, sizeof ratio, "%.3f", donor_ratio);
+  os << "cache: hits=" << s.hits << " misses=" << s.misses
+     << " donor_patched=" << s.weight_patched
+     << " scratch_builds=" << s.misses - s.weight_patched << " donor_ratio=" << ratio
+     << "\n";
+  if (donor_ratio < kMinDonorRatio)
+    os << "warn: only " << ratio << " of base-cache misses were donor-patched (< "
+       << kMinDonorRatio << "): probes are rebuilt from scratch\n";
+}
+
 /// The one-shot path: build, optimize, report, export.
 int run_one_shot(const Options& opt) {
   if (opt.harden_flag_seen && !opt.harden.enabled)
@@ -678,6 +702,8 @@ int run_one_shot(const Options& opt) {
     if (std::isfinite(result.robust_objective_value))
       std::cout << "robust objective value: " << result.robust_objective_value << "\n";
   }
+
+  print_cache_health(std::cout, evaluator.base_cache_stats());
 
   // ---- exports
   if (!opt.out_graph.empty()) {

@@ -50,6 +50,7 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
 
   WeightSetting current = initial;
   CostPair current_cost = *initial_cost;
+  objective.adopt(current);
 
   const int max_divs = config_.phase.max_diversifications > 0
                            ? config_.phase.max_diversifications
@@ -202,6 +203,7 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
       if (fresh_cost.has_value()) {
         current = std::move(fresh);
         current_cost = *fresh_cost;
+        objective.adopt(current);
         if (on_accept_) on_accept_(current, current_cost);
         if (on_move_)
           on_move_({result.iterations, result.evaluations, kInvalidLink, current_cost, true});
@@ -216,6 +218,7 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
       // No feasible restart found: continue climbing from the incumbent best.
       current = result.best;
       current_cost = result.best_cost;
+      objective.adopt(current);
     }
   }
   return result;

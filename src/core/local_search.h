@@ -70,6 +70,13 @@ class SearchObjective {
   virtual std::optional<CostPair> finish(const WeightSetting& w,
                                          const CostPair* incumbent) = 0;
 
+  /// Called whenever LocalSearch sets its current setting outside the probe
+  /// path — the initial point, a restart adoption, the fallback to the best
+  /// — with a setting evaluated earlier. Probes of `w` follow, so
+  /// evaluator-backed objectives keep its base cached for them. Must not
+  /// change any result. Runs on the calling thread. Default: nothing.
+  virtual void adopt(const WeightSetting& /*w*/) {}
+
   /// Sequential `screen` then, if deferred, `finish`.
   std::optional<CostPair> evaluate(const WeightSetting& w, const CostPair* incumbent) {
     Screening s = screen(w);

@@ -39,6 +39,7 @@ class NormalObjective final : public SearchObjective {
   std::optional<CostPair> finish(const WeightSetting& w, const CostPair*) override {
     return evaluator_.evaluate(w).cost();  // unreachable: screen decides
   }
+  void adopt(const WeightSetting& w) override { evaluator_.pin_incumbent(w); }
 
  private:
   const Evaluator& evaluator_;
@@ -76,6 +77,8 @@ class Phase2Objective : public SearchObjective {
       return Screening::decide(std::nullopt);
     return Screening::defer();
   }
+
+  void adopt(const WeightSetting& w) final { evaluator_.pin_incumbent(w); }
 
  protected:
   const Evaluator& evaluator_;

@@ -1,11 +1,16 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "graph/connectivity.h"
 
 namespace dtr {
 
@@ -91,6 +96,15 @@ Graph read_graph(std::istream& is) {
     if (word != "link" || ss.fail()) fail("bad link line: " + line);
     if (u >= num_nodes || v >= num_nodes) fail("link endpoint out of range: " + line);
     g.add_link(static_cast<NodeId>(u), static_cast<NodeId>(v), capacity, delay);
+  }
+  // Every SD pair must be routable: an unreachable node would be charged
+  // as disconnected demand under every weight setting, not optimized.
+  if (!is_connected(g)) {
+    const std::vector<int> component = connected_components(g);
+    const auto unreachable = std::find_if(component.begin(), component.end(),
+                                          [](int c) { return c != 0; });
+    fail("graph is not connected: node " +
+         std::to_string(unreachable - component.begin()) + " is unreachable from node 0");
   }
   return g;
 }

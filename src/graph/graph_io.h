@@ -24,7 +24,8 @@ namespace dtr {
 void write_graph(std::ostream& os, const Graph& g);
 
 /// Parses the format above. Throws std::runtime_error with a line-oriented
-/// message on malformed input.
+/// message on malformed input, and with a message naming an unreachable node
+/// when the graph is not connected.
 Graph read_graph(std::istream& is);
 
 /// Graphviz (dot) export for visualization: undirected edges labelled with

@@ -62,10 +62,11 @@ std::size_t differing_links(const WeightSetting& a, const WeightSetting& b) {
 
 }  // namespace
 
-/// Weights-keyed LRU cache of base records. A handful of entries scanned
-/// linearly under a mutex: lookups happen once per evaluation (not per
-/// scenario), and the key compare on vector<int> fails fast, so contention
-/// and scan cost are noise next to a single Dijkstra.
+/// Weights-keyed LRU cache of base records, with one pinned entry exempt
+/// from eviction. A handful of entries scanned linearly under a mutex:
+/// lookups happen once per evaluation (not per scenario), and the key
+/// compare on vector<int> fails fast, so contention and scan cost are noise
+/// next to a single Dijkstra.
 class Evaluator::BaseCache {
  public:
   std::shared_ptr<const IncrementalBase> find(const WeightSetting& w) {
@@ -93,28 +94,35 @@ class Evaluator::BaseCache {
       }
     }
     ++stats_.insertions;
+    Entry entry{w, std::move(base), ++tick_, pinned_.has_value() && *pinned_ == w};
     if (entries_.size() >= kBaseCacheCapacity) {
+      // Least recently used among the unpinned entries (capacity > 1, and at
+      // most one entry is pinned, so there always is one).
       auto victim = std::min_element(
-          entries_.begin(), entries_.end(),
-          [](const Entry& a, const Entry& b) { return a.last_used < b.last_used; });
+          entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+            return std::pair(a.pinned, a.last_used) < std::pair(b.pinned, b.last_used);
+          });
       ++stats_.evictions;
-      *victim = Entry{w, std::move(base), ++tick_};
+      *victim = std::move(entry);
     } else {
-      entries_.push_back(Entry{w, std::move(base), ++tick_});
+      entries_.push_back(std::move(entry));
     }
   }
 
   /// Closest cached base within kWeightDeltaMaxLinks differing links of `w`
-  /// (ties broken toward the most recently used entry), or nullopt. Returns a
-  /// COPY of the donor's key alongside the record — the entry may be evicted
-  /// the moment the lock drops. Never counts a hit or miss: donor probes
-  /// always follow a failed find(), which already counted the miss.
+  /// (ties broken toward the most recently used entry), or nullopt. Serving
+  /// as a donor counts as a use: the chosen entry's LRU stamp is refreshed,
+  /// so an incumbent whose single-link probes keep patching from it is never
+  /// evicted by those probes. Returns a COPY of the donor's key alongside the
+  /// record — the entry may be evicted the moment the lock drops. Never
+  /// counts a hit or miss: donor probes always follow a failed find(), which
+  /// already counted the miss.
   std::optional<std::pair<WeightSetting, std::shared_ptr<const IncrementalBase>>>
   find_donor(const WeightSetting& w) {
     const std::lock_guard<std::mutex> lock(mu_);
-    const Entry* best = nullptr;
+    Entry* best = nullptr;
     std::size_t best_diff = kWeightDeltaMaxLinks + 1;
-    for (const Entry& e : entries_) {
+    for (Entry& e : entries_) {
       if (e.key.num_links() != w.num_links()) continue;
       const std::size_t diff = differing_links(e.key, w);
       if (diff == 0 || diff > kWeightDeltaMaxLinks) continue;
@@ -124,7 +132,23 @@ class Evaluator::BaseCache {
       }
     }
     if (best == nullptr) return std::nullopt;
+    best->last_used = ++tick_;
     return std::make_pair(best->key, best->base);
+  }
+
+  /// Makes `w` the one pinned key: its entry (present now or inserted later)
+  /// is never an LRU victim until another key is pinned or the cache is
+  /// cleared. Returns whether `w` is cached. Counts no hit or miss — a pin
+  /// is cache policy, not a lookup.
+  bool pin(const WeightSetting& w) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    pinned_ = w;
+    bool present = false;
+    for (Entry& e : entries_) {
+      e.pinned = e.key == w;
+      present = present || e.pinned;
+    }
+    return present;
   }
 
   void note_weight_patch(std::uint64_t arcs) {
@@ -136,6 +160,7 @@ class Evaluator::BaseCache {
   void clear() {
     const std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
+    pinned_.reset();
   }
 
   EvaluatorCacheStats stats() const {
@@ -153,10 +178,12 @@ class Evaluator::BaseCache {
     WeightSetting key;
     std::shared_ptr<const IncrementalBase> base;
     std::uint64_t last_used = 0;
+    bool pinned = false;
   };
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
+  std::optional<WeightSetting> pinned_;
   std::uint64_t tick_ = 0;
   EvaluatorCacheStats stats_;
 };
@@ -242,6 +269,18 @@ std::size_t Evaluator::base_cache_size() const {
 
 void Evaluator::invalidate_base_cache() const {
   if (cache_ != nullptr) cache_->clear();
+}
+
+void Evaluator::pin_incumbent(const WeightSetting& w) const {
+  if (cache_ == nullptr) return;
+  if (w.num_links() != graph_.num_links())
+    throw std::invalid_argument("Evaluator::pin_incumbent: weight setting size mismatch");
+  // Pin first, so the base built below is pinned from its insertion on.
+  if (cache_->pin(w)) return;
+  Scratch& scratch = worker_scratch();
+  w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
+  w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
+  acquire_base(w, scratch.cost_delay, scratch.cost_tput, /*build=*/true, /*patch=*/false);
 }
 
 void Evaluator::flush_cache_stats_to_telemetry() const {

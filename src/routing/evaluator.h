@@ -39,9 +39,12 @@ struct EvalParams {
 /// figures need.
 enum class EvalDetail : std::uint8_t { kCostsOnly, kFull };
 
-/// LRU bound on the evaluator's cached base records. Sized for the
-/// optimizer's working set: the incumbent plus one batch of speculative
-/// Phase-1 probes.
+/// Bound on the evaluator's cached base records. Sized for the optimizer's
+/// working set: the search incumbent plus one batch of speculative probes.
+/// The incumbent's entry is held two ways: it is pinned whenever the search
+/// adopts a setting outside the probe path (Evaluator::pin_incumbent), and
+/// every probe it donates its base to refreshes its LRU stamp — so the
+/// incumbent's own probes never evict it. The other entries are plain LRU.
 inline constexpr std::size_t kBaseCacheCapacity = 16;
 
 /// A base-cache miss whose weights differ from a cached base on at most this
@@ -61,12 +64,14 @@ inline constexpr double kIncrementalMaxAffectedFraction = 0.25;
 /// settings of `incremental` produce bit-identical results (test-enforced),
 /// so every incremental artifact can be cross-checked by flipping it off.
 struct EvaluatorConfig {
-  /// The incremental path. A weights-keyed LRU cache (kBaseCacheCapacity
+  /// The incremental path. A weights-keyed cache (kBaseCacheCapacity
   /// entries, keys compared by VALUE) holds one base record per weight
   /// vector: both class routings plus the no-failure loads, arc delays,
   /// end-to-end delays and aggregated costs. A no-failure evaluate() builds
   /// and caches it, so the sweeps / failure evaluations the optimizer issues
-  /// for the SAME weights reuse it. The replay records are materialized
+  /// for the SAME weights reuse it. Eviction is LRU, where serving as a
+  /// donor (below) counts as a use, except for one pinned entry: the search
+  /// incumbent, named by pin_incumbent. The replay records are materialized
   /// LAZILY, on the first call that patches a failure from the base, so
   /// Phase-1 probes whose bases are evicted unused never pay for them.
   /// Arc-removal scenarios — single links, link pairs, links-only compound
@@ -74,7 +79,8 @@ struct EvaluatorConfig {
   /// destination and untouched destinations replay their recorded load
   /// contributions. Scenarios that fail nodes take the full path (their skip
   /// semantics change the demand set, not just arcs). A miss within
-  /// kWeightDeltaMaxLinks of a cached base is delta-patched from it.
+  /// kWeightDeltaMaxLinks of a cached base is delta-patched from it; with
+  /// the incumbent held in the cache, every single-link probe of it is.
   /// `false` is the reference oracle: a full recompute per evaluation, no
   /// cache.
   bool incremental = true;
@@ -276,13 +282,22 @@ class Evaluator {
   /// Cached base records currently held (<= kBaseCacheCapacity).
   std::size_t base_cache_size() const;
 
-  /// Drops every cached base record (counters survive). The cache keys on
+  /// Drops every cached base record and the pin (counters survive). The cache keys on
   /// weight-vector VALUES, so ordinary weight mutation can never serve a
   /// stale record; this exists for tests and for callers that want to
   /// release the memory between workloads. Thread-safe, and `const` like the
   /// evaluation entry points: the cache is pure acceleration state, never
   /// observable in results.
   void invalidate_base_cache() const;
+
+  /// Names `w` as the search incumbent: makes sure its base is cached
+  /// (building it, donor-patched or from scratch, without replay records, if
+  /// it is missing — one counted miss) and pins that entry, releasing the
+  /// previous pin. One entry is pinned at a time; LRU eviction never picks
+  /// it. A pin is cache policy, not an evaluation: no result and no
+  /// deterministic counter changes. No-op when config().incremental is off.
+  /// Thread-safe.
+  void pin_incumbent(const WeightSetting& w) const;
 
   /// Publishes the base-routing cache LIFETIME totals into the process plane
   /// of config().telemetry (`evaluator.base_cache.*`). Hit/miss counts depend

@@ -44,59 +44,6 @@ bool arc_is_tight(const Arc& arc, double cost, std::span<const double> dist) {
   return arc_is_tight(arc.src, arc.dst, cost, dist);
 }
 
-std::vector<std::vector<NodeId>> enumerate_ecmp_paths(
-    const Graph& g, std::span<const double> arc_cost, NodeId s, NodeId t,
-    ArcAliveMask alive_mask, std::size_t max_paths) {
-  if (s >= g.num_nodes() || t >= g.num_nodes())
-    throw std::out_of_range("enumerate_ecmp_paths: node id");
-  std::vector<std::vector<NodeId>> paths;
-  if (s == t || max_paths == 0) return paths;
-
-  std::vector<double> dist;
-  shortest_distances_to(g, t, arc_cost, alive_mask, dist);
-  if (dist[s] == kInfDist) return paths;
-
-  // DFS over the shortest-path DAG; next hops visited in ascending node id
-  // for deterministic output. The DAG is acyclic (distances strictly
-  // decrease along tight arcs with positive costs), so no visited-set needed.
-  std::vector<NodeId> current{s};
-  // Pre-sorted tight successor lists keep the traversal simple.
-  auto tight_successors = [&](NodeId u) {
-    std::vector<NodeId> next;
-    for (ArcId a : g.out_arcs(u)) {
-      if (!alive_mask.empty() && alive_mask[a] == 0) continue;
-      if (arc_is_tight(g.arc(a), arc_cost[a], dist)) next.push_back(g.arc(a).dst);
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    return next;
-  };
-
-  struct Frame {
-    std::vector<NodeId> successors;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({tight_successors(s), 0});
-  while (!stack.empty() && paths.size() < max_paths) {
-    Frame& frame = stack.back();
-    if (frame.next >= frame.successors.size()) {
-      stack.pop_back();
-      current.pop_back();
-      continue;
-    }
-    const NodeId v = frame.successors[frame.next++];
-    current.push_back(v);
-    if (v == t) {
-      paths.push_back(current);
-      current.pop_back();
-    } else {
-      stack.push_back({tight_successors(v), 0});
-    }
-  }
-  return paths;
-}
-
 void RoutingBaseRecord::reset(std::size_t num_nodes) {
   contrib_offset.clear();
   contrib_offset.reserve(num_nodes + 1);

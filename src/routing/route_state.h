@@ -256,13 +256,4 @@ bool arc_is_tight(const Arc& arc, double cost, std::span<const double> dist);
 /// record). Bit-identical to the Arc& overload.
 bool arc_is_tight(NodeId src, NodeId dst, double cost, std::span<const double> dist);
 
-/// Enumerates the ECMP paths (node sequences s..t) a class would use for one
-/// SD pair under `arc_cost` and the liveness mask, in deterministic
-/// (lexicographic next-hop) order. Stops after `max_paths` (the DAG can hold
-/// exponentially many); returns an empty vector when t is unreachable.
-/// Diagnostic/reporting API — the load machinery never materializes paths.
-std::vector<std::vector<NodeId>> enumerate_ecmp_paths(
-    const Graph& g, std::span<const double> arc_cost, NodeId s, NodeId t,
-    ArcAliveMask alive = {}, std::size_t max_paths = 64);
-
 }  // namespace dtr

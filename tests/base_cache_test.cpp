@@ -1,14 +1,16 @@
 /// BaseRoutingCache behavior: the weights-keyed LRU cache on the Evaluator
 /// is pure acceleration state — these tests pin down its invalidation
 /// semantics (value-keyed lookup vs weight mutation, per-instance isolation
-/// for topology/TM changes, the LRU eviction bound, explicit invalidation)
-/// and that hits never change a single result byte.
+/// for topology/TM changes, the LRU eviction bound, explicit invalidation),
+/// its retention policy (donor refresh, the pinned incumbent) and that hits
+/// never change a single result byte.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "core/optimizer.h"
 #include "routing/evaluator.h"
 #include "routing/failures.h"
 #include "test_helpers.h"
@@ -174,6 +176,104 @@ TEST(BaseCacheTest, ConcurrentSpeculativeEvaluationsStayConsistent) {
     EXPECT_EQ(want.phi, got[i].phi);
   }
   EXPECT_LE(ev.base_cache_size(), kBaseCacheCapacity);
+}
+
+/// `w` with `link`'s delay weight moved to a different value in [1, wmax].
+WeightSetting single_link_probe(const WeightSetting& w, LinkId link, int wmax) {
+  WeightSetting probe = w;
+  const int old = w.get(TrafficClass::kDelay, link);
+  probe.set(TrafficClass::kDelay, link, old == wmax ? 1 : old + 1);
+  return probe;
+}
+
+TEST(BaseCacheTest, DonorUseKeepsIncumbentCached) {
+  // The local-search pattern: many consecutive single-link probes of ONE
+  // incumbent, each on a different link, so no probe is a donor for
+  // another. Serving as their donor must keep the incumbent from being
+  // evicted by them: every probe is donor-patched, none rebuilt.
+  const TestInstance inst = make_test_instance(12, 4.0, 53);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const std::size_t probes = kBaseCacheCapacity + 4;
+  ASSERT_GE(inst.graph.num_links(), probes);
+
+  const WeightSetting incumbent = random_weights(inst.graph, 30, 59);
+  ev.evaluate(incumbent);
+  for (LinkId l = 0; l < probes; ++l) {
+    const WeightSetting probe = single_link_probe(incumbent, l, 30);
+    expect_results_identical(ev.evaluate(probe), plain.evaluate(probe));
+  }
+  const EvaluatorCacheStats stats = ev.base_cache_stats();
+  EXPECT_EQ(stats.misses, probes + 1);
+  EXPECT_EQ(stats.weight_patched, probes);
+
+  ev.evaluate(incumbent);
+  EXPECT_EQ(ev.base_cache_stats().hits, stats.hits + 1);
+  EXPECT_EQ(ev.base_cache_stats().insertions, stats.insertions);
+}
+
+TEST(BaseCacheTest, PinnedIncumbentSurvivesUntilReleased) {
+  const TestInstance inst = make_test_instance(10, 4.0, 61);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting pinned = random_weights(inst.graph, 30, 67);
+  const WeightSetting next = random_weights(inst.graph, 30, 71);
+
+  // Pinning a missing setting builds its base: one miss, one insertion.
+  ev.pin_incumbent(pinned);
+  EXPECT_EQ(ev.base_cache_stats().misses, 1u);
+  EXPECT_EQ(ev.base_cache_stats().insertions, 1u);
+  // Re-pinning a cached setting is neither a hit nor a miss.
+  ev.pin_incumbent(pinned);
+  EXPECT_EQ(ev.base_cache_stats().hits, 0u);
+  EXPECT_EQ(ev.base_cache_stats().misses, 1u);
+
+  // Unrelated settings (many links apart: no donor patching) churn the LRU
+  // twice over; the pinned entry stays and serves identical bytes.
+  for (std::uint64_t seed = 1000; seed < 1000 + 2 * kBaseCacheCapacity; ++seed)
+    ev.evaluate(random_weights(inst.graph, 30, seed));
+  EXPECT_EQ(ev.base_cache_size(), kBaseCacheCapacity);
+  const EvaluatorCacheStats churned = ev.base_cache_stats();
+  expect_results_identical(ev.evaluate(pinned, FailureScenario::none(), EvalDetail::kFull),
+                           plain.evaluate(pinned, FailureScenario::none(), EvalDetail::kFull));
+  EXPECT_EQ(ev.base_cache_stats().hits, churned.hits + 1);
+  EXPECT_EQ(ev.base_cache_stats().insertions, churned.insertions);
+
+  // Pinning another setting releases the first to plain LRU.
+  ev.pin_incumbent(next);
+  for (std::uint64_t seed = 2000; seed < 2000 + kBaseCacheCapacity; ++seed)
+    ev.evaluate(random_weights(inst.graph, 30, seed));
+  const EvaluatorCacheStats released = ev.base_cache_stats();
+  ev.evaluate(pinned);
+  EXPECT_EQ(ev.base_cache_stats().misses, released.misses + 1);
+  ev.evaluate(next);
+  EXPECT_EQ(ev.base_cache_stats().hits, released.hits + 1);
+}
+
+TEST(BaseCacheTest, PinIsNoOpWithoutIncrementalPath) {
+  const TestInstance inst = make_test_instance(10, 4.0, 73);
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting w = random_weights(inst.graph, 30, 79);
+  plain.pin_incumbent(w);
+  EXPECT_EQ(plain.base_cache_size(), 0u);
+  const EvaluatorCacheStats stats = plain.base_cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions + stats.weight_patched, 0u);
+}
+
+TEST(BaseCacheTest, OptimizerProbesAreDonorPatched) {
+  // End to end at 1 thread, where cache counters are deterministic: with the
+  // incumbent held in the cache (donor refresh + the pin on every adoption),
+  // almost every probe's miss patches from it. Losing either half of that
+  // policy turns thousands of probes into scratch builds.
+  const TestInstance inst = make_test_instance(12, 4.0, 83, 0.55);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  OptimizerConfig config = default_optimizer_config(Effort::kSmoke, 83);
+  config.wmax = 60;
+  RobustOptimizer(ev, config).optimize();
+  const EvaluatorCacheStats stats = ev.base_cache_stats();
+  ASSERT_GT(stats.misses, 0u);
+  EXPECT_GE(static_cast<double>(stats.weight_patched), 0.95 * static_cast<double>(stats.misses))
+      << "misses=" << stats.misses << " donor-patched=" << stats.weight_patched;
 }
 
 }  // namespace

@@ -13,7 +13,11 @@
 ///      compound scenarios, node failures) incremental vs full;
 ///   3. weight-delta donor patching (Phase-1 probe shape: neighbors of a
 ///      cached incumbent) vs scratch-built bases, plus the cross-trial
-///      shared-labels path of evaluate_fluctuations vs per-trial evaluators.
+///      shared-labels path of evaluate_fluctuations vs per-trial evaluators;
+///   4. the pinned incumbent: a local-search-shaped walk interleaving
+///      pin_incumbent with single-link probes, accepts, restarts and
+///      fallbacks to an earlier best, vs the full recompute — and the pinned
+///      setting must still be cached whenever the walk returns to it.
 ///
 /// Usage: differential_fuzz [--seed N] [--budget-seconds S]
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
@@ -215,6 +219,83 @@ void fuzz_evaluator(Rng& rng) {
   }
 }
 
+/// Layer 4: a random walk shaped like LocalSearch over one fast evaluator.
+/// Every evaluation is checked against the oracle; every return to the
+/// pinned setting must be a cache hit, however many probes came between.
+void fuzz_pinned_search(Rng& rng) {
+  experiments::WorkloadSpec spec;
+  spec.kind = experiments::TopologyKind::kRand;
+  spec.nodes = rng.uniform_int(8, 14);
+  spec.degree = 3.0 + static_cast<double>(rng.uniform_int(0, 15)) / 10.0;
+  spec.seed = rng.split().seed();
+  const experiments::Workload w = experiments::make_workload(spec);
+  const Graph& g = w.graph;
+  const int num_links = static_cast<int>(g.num_links());
+  const Evaluator fast(g, w.traffic, w.params);
+  const Evaluator full(g, w.traffic, w.params, {.incremental = false});
+
+  const auto check = [&](const WeightSetting& x, const FailureScenario& scenario,
+                         const char* step) {
+    if (!results_identical(fast.evaluate(x, scenario, EvalDetail::kFull),
+                           full.evaluate(x, scenario, EvalDetail::kFull)))
+      report_divergence("pinned search", std::string(step) + " (" + to_string(scenario) + ")");
+  };
+  const auto random_setting = [&] {
+    WeightSetting x(g.num_links());
+    randomize_weights(x, 20, rng);
+    return x;
+  };
+  const auto adopt = [&](const WeightSetting& x) {
+    fast.pin_incumbent(x);
+    full.pin_incumbent(x);  // the oracle has no cache: must stay a no-op
+    if (full.base_cache_size() != 0)
+      report_divergence("pinned search", "pin cached a base with incremental off");
+  };
+
+  WeightSetting current = random_setting();
+  WeightSetting best = current;
+  WeightSetting pinned = current;
+  check(current, FailureScenario::none(), "initial");
+  adopt(current);
+  for (int step = 0, steps = rng.uniform_int(20, 60); step < steps; ++step) {
+    const int action = rng.uniform_int(0, 9);
+    if (action == 0) {  // restart adoption
+      current = random_setting();
+      check(current, FailureScenario::none(), "restart");
+      adopt(current);
+      pinned = current;
+    } else if (action == 1) {  // fallback to the best: no evaluation first
+      current = best;
+      const EvaluatorCacheStats before = fast.base_cache_stats();
+      adopt(current);
+      pinned = current;
+      if (fast.base_cache_stats().hits != before.hits)
+        report_divergence("pinned search", "pin counted a cache hit");
+    } else if (action == 2) {  // return to the pinned setting
+      const EvaluatorCacheStats before = fast.base_cache_stats();
+      check(pinned, FailureScenario::none(), "pinned");
+      if (fast.base_cache_stats().misses != before.misses)
+        report_divergence("pinned search", "pinned setting was evicted");
+    } else {  // single-link probe of the current setting, sometimes accepted
+      WeightSetting probe = current;
+      const LinkId l = static_cast<LinkId>(rng.uniform_int(0, num_links - 1));
+      probe.set(TrafficClass::kDelay, l, rng.uniform_int(1, 20));
+      probe.set(TrafficClass::kThroughput, l, rng.uniform_int(1, 20));
+      const FailureScenario scenario =
+          rng.uniform_int(0, 3) == 0
+              ? FailureScenario::link(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)))
+              : FailureScenario::none();
+      check(probe, scenario, "probe");
+      if (rng.uniform_int(0, 4) == 0) {
+        current = std::move(probe);
+        if (rng.uniform_int(0, 1) == 0) best = current;
+      }
+    }
+    if (fast.base_cache_size() > kBaseCacheCapacity)
+      report_divergence("pinned search", "cache above capacity");
+  }
+}
+
 }  // namespace
 }  // namespace dtr
 
@@ -244,6 +325,7 @@ int main(int argc, char** argv) {
     ++dtr::g_iteration;
     dtr::fuzz_delta_spf(rng);
     dtr::fuzz_evaluator(rng);
+    dtr::fuzz_pinned_search(rng);
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

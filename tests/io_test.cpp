@@ -61,6 +61,20 @@ TEST(GraphIoTest, RejectsMalformedInput) {
   }
 }
 
+TEST(GraphIoTest, RejectsDisconnectedGraphNamingUnreachableNode) {
+  // Node 2 has no link: every pair touching it would be unroutable.
+  std::stringstream ss(
+      "dtr-graph 1\nnodes 3\nnode 0 0 0\nnode 1 1 0\nnode 2 2 0\n"
+      "links 1\nlink 0 1 500 1\n");
+  try {
+    read_graph(ss);
+    FAIL() << "disconnected graph accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "read_graph: graph is not connected: node 2 is unreachable from node 0");
+  }
+}
+
 TEST(GraphIoTest, RejectsOneDirectionalArcsOnWrite) {
   Graph g(2);
   g.add_arc(0, 1, 100.0, 1.0);

@@ -51,9 +51,13 @@ class CappedObjective final : public SearchObjective {
     }
     return CostPair{sum, 0.0};
   }
+  void adopt(const WeightSetting& w) override { adopted_.push_back(w); }
+
+  const std::vector<WeightSetting>& adopted() const { return adopted_; }
 
  private:
   int cap_;
+  std::vector<WeightSetting> adopted_;
 };
 
 /// Two-stage objective in the shape of Phase 2: quadratic cost, a screen
@@ -196,6 +200,28 @@ TEST(LocalSearchTest, RestartHookUsed) {
   const auto result = search.run(obj, WeightSetting(5, 1));
   EXPECT_GT(restarts, 0);
   EXPECT_NEAR(result.best_cost.lambda, 0.0, 1e-12);
+}
+
+TEST(LocalSearchTest, AdoptNamesEveryCurrentSetOutsideProbes) {
+  // The initial point is the optimum (delay sum 3), so the best never
+  // changes. Diversification 1 restarts from a feasible draw; in
+  // diversification 2 every draw is infeasible and the search falls back to
+  // the best; diversification 3 stalls out. Each of the three assignments
+  // is adopted, in order; probe accepts are not.
+  CappedObjective obj(10);
+  LocalSearch::Config config = quick_config(9);
+  config.phase = {1, 3, 0.9, 0};
+  LocalSearch search(config);
+  int draws = 0;
+  search.set_restart([&](Rng&) { return WeightSetting(3, ++draws == 1 ? 2 : 50); });
+  const WeightSetting initial(3, 1);
+  const auto result = search.run(obj, initial);
+  ASSERT_EQ(result.diversifications, 3);
+  EXPECT_EQ(draws, 1 + 16);
+  ASSERT_EQ(obj.adopted().size(), 3u);
+  EXPECT_EQ(obj.adopted()[0], initial);
+  EXPECT_EQ(obj.adopted()[1], WeightSetting(3, 2));
+  EXPECT_EQ(obj.adopted()[2], initial);
 }
 
 TEST(LocalSearchTest, DiversificationCountedAndBounded) {

@@ -343,95 +343,6 @@ TEST(EndToEndDelayTest, DisconnectedIsInfinite) {
   EXPECT_EQ(out[0 * 3 + 2], kInfDist);
 }
 
-// ------------------------------------------------------------ path enumeration
-
-TEST(EcmpPathsTest, DiamondYieldsBothPaths) {
-  const Graph g = test::make_diamond();
-  const std::vector<double> costs(g.num_arcs(), 1.0);
-  const auto paths = enumerate_ecmp_paths(g, costs, 0, 3);
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[0], (std::vector<NodeId>{0, 1, 3}));
-  EXPECT_EQ(paths[1], (std::vector<NodeId>{0, 2, 3}));
-}
-
-TEST(EcmpPathsTest, WeightsPruneToUniquePath) {
-  const Graph g = test::make_diamond();
-  WeightSetting w(g.num_links());
-  w.set(TrafficClass::kDelay, 0, 5);  // 0-1 expensive
-  std::vector<double> costs;
-  w.arc_costs(g, TrafficClass::kDelay, costs);
-  const auto paths = enumerate_ecmp_paths(g, costs, 0, 3);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0], (std::vector<NodeId>{0, 2, 3}));
-}
-
-TEST(EcmpPathsTest, RespectsMaskAndUnreachable) {
-  const Graph g = test::make_diamond();
-  const std::vector<double> costs(g.num_arcs(), 1.0);
-  std::vector<std::uint8_t> alive(g.num_arcs(), 1);
-  for (ArcId a : g.link_arcs(0)) alive[a] = 0;  // no 0-1
-  const auto paths = enumerate_ecmp_paths(g, costs, 0, 3, alive);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0], (std::vector<NodeId>{0, 2, 3}));
-
-  for (ArcId a : g.link_arcs(1)) alive[a] = 0;  // no 0-2 either
-  EXPECT_TRUE(enumerate_ecmp_paths(g, costs, 0, 3, alive).empty());
-}
-
-TEST(EcmpPathsTest, MaxPathsCap) {
-  // Chain of diamonds: 2^k paths; cap must bound the enumeration.
-  Graph g(7);
-  g.add_link(0, 1, 100.0, 1.0);
-  g.add_link(0, 2, 100.0, 1.0);
-  g.add_link(1, 3, 100.0, 1.0);
-  g.add_link(2, 3, 100.0, 1.0);
-  g.add_link(3, 4, 100.0, 1.0);
-  g.add_link(3, 5, 100.0, 1.0);
-  g.add_link(4, 6, 100.0, 1.0);
-  g.add_link(5, 6, 100.0, 1.0);
-  const std::vector<double> costs(g.num_arcs(), 1.0);
-  EXPECT_EQ(enumerate_ecmp_paths(g, costs, 0, 6).size(), 4u);
-  EXPECT_EQ(enumerate_ecmp_paths(g, costs, 0, 6, {}, 3).size(), 3u);
-}
-
-TEST(EcmpPathsTest, EveryPathIsShortelyTight) {
-  // All enumerated paths must have equal cost == dist(s,t).
-  const test::TestInstance inst = test::make_test_instance(10, 4.0, 19);
-  WeightSetting w(inst.graph.num_links());
-  Rng rng(4);
-  randomize_weights(w, 30, rng);
-  std::vector<double> costs;
-  w.arc_costs(inst.graph, TrafficClass::kThroughput, costs);
-  std::vector<double> dist;
-  shortest_distances_to(inst.graph, 7, costs, {}, dist);
-  const auto paths = enumerate_ecmp_paths(inst.graph, costs, 0, 7);
-  ASSERT_FALSE(paths.empty());
-  for (const auto& path : paths) {
-    EXPECT_EQ(path.front(), 0u);
-    EXPECT_EQ(path.back(), 7u);
-    double cost = 0.0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      bool found = false;
-      for (ArcId a : inst.graph.out_arcs(path[i])) {
-        if (inst.graph.arc(a).dst == path[i + 1]) {
-          cost += costs[a];
-          found = true;
-          break;
-        }
-      }
-      ASSERT_TRUE(found);
-    }
-    EXPECT_DOUBLE_EQ(cost, dist[0]);
-  }
-}
-
-TEST(EcmpPathsTest, Validation) {
-  const Graph g = test::make_diamond();
-  const std::vector<double> costs(g.num_arcs(), 1.0);
-  EXPECT_THROW(enumerate_ecmp_paths(g, costs, 99, 0), std::out_of_range);
-  EXPECT_TRUE(enumerate_ecmp_paths(g, costs, 2, 2).empty());  // s == t
-}
-
 // ------------------------------------------------------------ failures
 
 TEST(FailuresTest, EnumerationCounts) {
