@@ -704,6 +704,11 @@ int run_one_shot(const Options& opt) {
   }
 
   print_cache_health(std::cout, evaluator.base_cache_stats());
+  // Criticality samples fed to the ranking vs. evaluations run for them:
+  // repeated (setting, scenario) draws reuse one evaluation.
+  const std::size_t drawn =
+      result.phase1a_samples + result.phase1b_samples + result.scenario_samples;
+  std::cout << "samples: drawn=" << drawn << " evaluated=" << result.samples_evaluated << "\n";
 
   // ---- exports
   if (!opt.out_graph.empty()) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "util/stats.h"
@@ -136,12 +137,12 @@ std::size_t CriticalityCollector::samples_until_next_rank_update() const {
                                                : 1;
 }
 
-long top_up_criticality_samples(const Evaluator& evaluator,
-                                CriticalityCollector& collector,
-                                std::span<const FailureScenario> scenarios,
-                                std::span<const AcceptableStore::Entry* const> entries,
-                                SamplingMode mode, int wmax, long budget, Rng& rng,
-                                ThreadPool* pool) {
+TopUpCounts top_up_criticality_samples(const Evaluator& evaluator,
+                                       CriticalityCollector& collector,
+                                       std::span<const FailureScenario> scenarios,
+                                       std::span<const AcceptableStore::Entry* const> entries,
+                                       SamplingMode mode, int wmax, long budget, Rng& rng,
+                                       ThreadPool* pool) {
   if (scenarios.size() != collector.num_links())
     throw std::invalid_argument(
         "top_up_criticality_samples: catalog size differs from the collector's");
@@ -154,51 +155,68 @@ long top_up_criticality_samples(const Evaluator& evaluator,
         throw std::invalid_argument(
             "top_up_criticality_samples: emulated-weights sampling needs single-link scenarios");
 
-  long generated = 0;
+  TopUpCounts counts;
   const int floor = collector.emulation_weight_floor();
   // Emulated mode evaluates a perturbed copy of the drawn setting under
   // normal conditions; exact mode evaluates the drawn setting under the
   // scenario itself.
   std::vector<WeightSetting> perturbed;
   std::vector<EvalJob> jobs;
+  // Exact mode: a sample is a pure function of (pool entry, catalog
+  // position), and a pool of a few entries repeats pairs often, so each pair
+  // is evaluated once per call. Keyed entry * |catalog| + position.
+  std::unordered_map<std::size_t, CostPair> memo;
+  std::vector<std::size_t> draw_key;
+  std::vector<std::size_t> job_key;
 
-  while (!collector.converged() && generated < budget) {
+  while (!collector.converged() && counts.drawn < budget) {
     const std::vector<LinkId> order = collector.links_by_sample_need();
     std::size_t pos = 0;
     while (pos < order.size()) {
-      if (collector.converged() || generated >= budget) break;
+      if (collector.converged() || counts.drawn >= budget) break;
 
       // Batch at most up to the next rank refresh: convergence cannot change
       // mid-batch, so drawing/evaluating these jobs ahead of time replays the
       // sequential loop exactly.
       const std::size_t batch =
-          std::min({order.size() - pos, static_cast<std::size_t>(budget - generated),
+          std::min({order.size() - pos, static_cast<std::size_t>(budget - counts.drawn),
                     collector.samples_until_next_rank_update()});
       perturbed.clear();
       jobs.clear();
+      draw_key.clear();
+      job_key.clear();
       for (std::size_t i = 0; i < batch; ++i) {
         const FailureScenario& scenario = scenarios[order[pos + i]];
-        const AcceptableStore::Entry& entry = *entries[rng.uniform_index(entries.size())];
+        const std::size_t e = rng.uniform_index(entries.size());
+        const AcceptableStore::Entry& entry = *entries[e];
         if (emulated) {
           WeightSetting w = entry.setting;
           w.set(TrafficClass::kDelay, scenario.id, rng.uniform_int(floor, wmax));
           w.set(TrafficClass::kThroughput, scenario.id, rng.uniform_int(floor, wmax));
           perturbed.push_back(std::move(w));
         } else {
-          jobs.push_back({&entry.setting, scenario});
+          const std::size_t key = e * scenarios.size() + order[pos + i];
+          draw_key.push_back(key);
+          if (memo.try_emplace(key).second) {
+            jobs.push_back({&entry.setting, scenario});
+            job_key.push_back(key);
+          }
         }
       }
       for (const WeightSetting& w : perturbed) jobs.push_back({&w, FailureScenario::none()});
 
-      const std::vector<CostPair> costs = evaluator.evaluate_costs(jobs, pool);
+      const std::vector<CostPair> costs =
+          jobs.empty() ? std::vector<CostPair>{} : evaluator.evaluate_costs(jobs, pool);
+      counts.evaluated += static_cast<long>(jobs.size());
+      for (std::size_t j = 0; j < job_key.size(); ++j) memo[job_key[j]] = costs[j];
       for (std::size_t i = 0; i < batch; ++i) {
-        collector.add_sample(order[pos + i], costs[i]);
-        ++generated;
+        collector.add_sample(order[pos + i], emulated ? costs[i] : memo.at(draw_key[i]));
+        ++counts.drawn;
       }
       pos += batch;
     }
   }
-  return generated;
+  return counts;
 }
 
 }  // namespace dtr

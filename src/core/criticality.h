@@ -137,25 +137,33 @@ class CriticalityCollector {
   Rng rng_;
 };
 
+/// Work of one top_up_criticality_samples call.
+struct TopUpCounts {
+  long drawn = 0;      ///< samples fed to the collector
+  long evaluated = 0;  ///< evaluations run to produce them (<= drawn)
+};
+
 /// Phase 1b top-up sampling (Fig. 1): draws acceptable settings from
 /// `entries`, generates failure(-like) cost samples for the least-sampled
 /// catalog entries, and feeds the collector until the criticality ranking
-/// converges or `budget` samples were generated. Returns the number
-/// generated. Collector index i describes `scenarios[i]`, so the collector
-/// must span exactly the catalog. Exact mode evaluates the drawn setting
-/// under `scenarios[i]`; emulated mode perturbs the failed link's weights
-/// into the emulation window, so it needs single-link scenarios.
+/// converges or `budget` samples were drawn. Collector index i describes
+/// `scenarios[i]`, so the collector must span exactly the catalog. Exact
+/// mode evaluates the drawn setting under `scenarios[i]`, once per distinct
+/// (entry, position) pair in the call — a repeated draw reuses the first
+/// result, so `evaluated` can be far below `drawn`; emulated mode evaluates
+/// every draw, perturbing the failed link's weights into the emulation
+/// window, so it needs single-link scenarios.
 ///
 /// The evaluation of each batch runs on `pool` (nullptr = sequential), but
 /// the result stream is bit-identical for any worker count: jobs are drawn
 /// from `rng` in exactly the order the sequential loop would draw them, and
 /// a batch never crosses a rank-update boundary — the only point where
 /// `collector.converged()` can flip.
-long top_up_criticality_samples(const Evaluator& evaluator,
-                                CriticalityCollector& collector,
-                                std::span<const FailureScenario> scenarios,
-                                std::span<const AcceptableStore::Entry* const> entries,
-                                SamplingMode mode, int wmax, long budget, Rng& rng,
-                                ThreadPool* pool = nullptr);
+TopUpCounts top_up_criticality_samples(const Evaluator& evaluator,
+                                       CriticalityCollector& collector,
+                                       std::span<const FailureScenario> scenarios,
+                                       std::span<const AcceptableStore::Entry* const> entries,
+                                       SamplingMode mode, int wmax, long budget, Rng& rng,
+                                       ThreadPool* pool = nullptr);
 
 }  // namespace dtr

@@ -144,7 +144,7 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
 
         if (observer_) {
           observer_({link, probe_delay[p], probe_tput[p], current_cost, result.best_cost,
-                     candidate_cost, accepted, &current});
+                     candidate_cost, accepted, &current, old_delay, old_tput});
         }
 
         if (accepted) {

@@ -100,6 +100,10 @@ struct PerturbationEvent {
   /// have no cost), so evaluating the candidate equals evaluating the
   /// pre-perturbation setting.
   const WeightSetting* candidate = nullptr;
+  /// `link`'s weights before the probe: `candidate` with these restored is
+  /// the setting being perturbed.
+  int old_weight_delay = 0;
+  int old_weight_tput = 0;
 };
 
 /// One committed change of the current setting: a probe accept or a restart

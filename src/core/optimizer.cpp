@@ -68,12 +68,14 @@ class Phase2Objective : public SearchObjective {
 
   /// Constraint gate: Eq. (5) pins Lambda_normal to Lambda*, Eq. (6) bounds
   /// Phi_normal by (1+chi) * Phi*. Infeasible candidates are decided here.
+  /// Eq. (6) goes first: it needs only Phi, so a candidate failing it never
+  /// runs the delay DP that Lambda needs.
   Screening screen(const WeightSetting& w) const final {
-    const CostPair normal = evaluator_.evaluate(w).cost();
     const LexicographicOrder order;
-    if (!order.values_equal(normal.lambda, star_.lambda))  // Eq. (5)
-      return Screening::decide(std::nullopt);
-    if (normal.phi > (1.0 + chi_) * star_.phi + order.abs_tol())  // Eq. (6)
+    const std::optional<CostPair> normal =
+        evaluator_.evaluate_phi_first(w, (1.0 + chi_) * star_.phi + order.abs_tol());
+    if (!normal.has_value()) return Screening::decide(std::nullopt);  // Eq. (6)
+    if (!order.values_equal(normal->lambda, star_.lambda))            // Eq. (5)
       return Screening::decide(std::nullopt);
     return Screening::defer();
   }
@@ -374,6 +376,10 @@ void OptimizeRun::phase1a() {
   phase_marker(telemetry::EventKind::kPhaseStart, "phase1a");
   NormalObjective normal_objective(evaluator_);
 
+  // Exact-mode sampling state (below): the setting the last sampled probe
+  // perturbed, and its failure cost per link, memoised until it changes.
+  WeightSetting sample_incumbent;
+  std::vector<std::optional<CostPair>> sample_memo;
   // Phase 1a probes score under NormalObjective, whose screen decides every
   // probe — LocalSearch's speculative screening scores them all in parallel.
   LocalSearch search({config_.phase1, config_.wmax, rng_.split().seed(), pool_.get()});
@@ -387,13 +393,25 @@ void OptimizeRun::phase1a() {
           [this](const PerturbationEvent& e) { link_collector_.on_perturbation(e); });
     } else {
       // Exact mode: the in-window perturbation only triggers sampling; the
-      // recorded cost evaluates the TRUE failure of the link (the perturbed
-      // weights are immaterial once its arcs are masked out), one extra
-      // evaluation per trigger (~q-window hit rate of probes).
-      search.set_observer([this](const PerturbationEvent& e) {
+      // recorded cost evaluates the TRUE failure of the link. The perturbed
+      // weights are immaterial once its arcs are masked out, so the sample
+      // is the INCUMBENT under that failure: its base is cached, and the
+      // cost is memoised per link until the incumbent changes.
+      search.set_observer([this, &sample_incumbent, &sample_memo](const PerturbationEvent& e) {
         if (!link_collector_.should_sample(e)) return;
-        link_collector_.add_sample(
-            e.link, evaluator_.evaluate(*e.candidate, FailureScenario::link(e.link)).cost());
+        WeightSetting probed_from = *e.candidate;
+        probed_from.set(TrafficClass::kDelay, e.link, e.old_weight_delay);
+        probed_from.set(TrafficClass::kThroughput, e.link, e.old_weight_tput);
+        if (probed_from != sample_incumbent) {
+          sample_incumbent = std::move(probed_from);
+          sample_memo.assign(sample_incumbent.num_links(), std::nullopt);
+        }
+        std::optional<CostPair>& sample = sample_memo[e.link];
+        if (!sample.has_value()) {
+          sample = evaluator_.evaluate(sample_incumbent, FailureScenario::link(e.link)).cost();
+          ++result_.samples_evaluated;
+        }
+        link_collector_.add_sample(e.link, *sample);
       });
     }
   }
@@ -456,15 +474,16 @@ void OptimizeRun::phase1b() {
                             : 20L * config_.criticality.tau * static_cast<long>(catalog_size);
     // Emulated-weights sampling perturbs a link's weights: link ids only.
     const SamplingMode mode = per_link_ ? config_.sampling_mode : SamplingMode::kExactFailure;
-    const long generated = top_up_criticality_samples(
+    const TopUpCounts top_up = top_up_criticality_samples(
         evaluator_, collector, catalog_.set.scenarios(), entries, mode, config_.wmax, budget, rng_,
         pool_.get());
     estimates() = collector.estimates();
+    result_.samples_evaluated += static_cast<std::size_t>(top_up.evaluated);
     if (per_link_) {
-      result_.phase1b_samples = static_cast<std::size_t>(generated);
+      result_.phase1b_samples = static_cast<std::size_t>(top_up.drawn);
       result_.criticality_converged = collector.converged();
     } else {
-      result_.scenario_samples = static_cast<std::size_t>(generated);
+      result_.scenario_samples = static_cast<std::size_t>(top_up.drawn);
       result_.scenario_rank_converged = collector.converged();
     }
   }
@@ -613,6 +632,7 @@ void OptimizeRun::collect_telemetry() {
       .add(static_cast<std::uint64_t>(result_.phase1_diversifications));
   run_reg.counter("optimizer.phase1a_samples").add(result_.phase1a_samples);
   run_reg.counter("optimizer.phase1b_samples").add(result_.phase1b_samples);
+  run_reg.counter("optimizer.samples_evaluated").add(result_.samples_evaluated);
   run_reg.counter("optimizer.scenario_samples").add(result_.scenario_samples);
   run_reg.counter("optimizer.phase2_evaluations")
       .add(static_cast<std::uint64_t>(result_.phase2_evaluations));

@@ -114,6 +114,11 @@ struct OptimizeResult {
   bool criticality_converged = false;
   std::size_t phase1a_samples = 0;  ///< failure-like samples from Phase 1a
   std::size_t phase1b_samples = 0;  ///< top-up samples from Phase 1b
+  /// Evaluations run to produce the criticality samples (phase1a, phase1b
+  /// and scenario samples): exact-failure sampling evaluates each distinct
+  /// (setting, scenario) pair once and reuses it for repeated draws, and
+  /// emulated Phase-1a samples cost none.
+  std::size_t samples_evaluated = 0;
 
   // Catalog-objective diagnostics (zero / empty when the catalog has the
   // per-link shape — no objective, or objective_from_link_probabilities):

@@ -34,13 +34,21 @@ struct Evaluator::IncrementalBase {
   mutable RoutingBaseRecord delay_record;
   mutable RoutingBaseRecord tput_record;
 
-  /// No-failure products (see finish_base). `sd_delay` holds the
-  /// POST-aggregation values (disconnected pairs capped at the disconnect
-  /// charge), exactly what the full path's aggregation leaves in place.
+  /// No-failure products (see finish_base): the total loads and, in
+  /// none_result, everything but the Lambda side.
   std::vector<double> total_load;
-  std::vector<double> arc_delay;
-  std::vector<double> sd_delay;
-  EvalResult none_result;  ///< costs-only fields of the no-failure evaluation
+  EvalResult none_result;  ///< costs-only fields; lambda/sla_violations unset
+
+  /// The Lambda side of the no-failure evaluation (ensure_lambda): arc
+  /// delays, the delay DP and the SLA aggregation. Lazy like the records —
+  /// pins, failure-only bases and Phi-rejected screens never read it.
+  /// `sd_delay` holds the POST-aggregation values (disconnected pairs capped
+  /// at the disconnect charge), exactly what the full path's aggregation
+  /// leaves in place.
+  mutable std::once_flag lambda_once;
+  mutable std::vector<double> sd_delay;
+  mutable double lambda = 0.0;
+  mutable int sla_violations = 0;
 };
 
 namespace {
@@ -333,33 +341,20 @@ void Evaluator::build_base(std::span<const double> cost_delay,
                            IncrementalBase& base) const {
   base.delay.compute(graph_, cost_delay, traffic_.delay, {});
   base.tput.compute(graph_, cost_tput, traffic_.throughput, {});
-  finish_base(cost_delay, base);
+  finish_base(base);
 }
 
-// The same per-arc products, delay DP and aggregation the full path runs, so
-// a served no-failure result is bit-identical to a computed one.
-void Evaluator::finish_base(std::span<const double> cost_delay,
-                            IncrementalBase& base) const {
+// The same per-arc products and Fortz sum the full path runs, so a served
+// no-failure result is bit-identical to a computed one.
+void Evaluator::finish_base(IncrementalBase& base) const {
   const GraphCsr& csr = graph_.csr();
   const std::size_t num_arcs = graph_.num_arcs();
   base.total_load.resize(num_arcs);
-  base.arc_delay.resize(num_arcs);
-  for (ArcId a = 0; a < num_arcs; ++a) {
+  for (ArcId a = 0; a < num_arcs; ++a)
     base.total_load[a] = base.delay.arc_load(a) + base.tput.arc_load(a);
-    base.arc_delay[a] = link_delay_ms(base.total_load[a], csr.capacity[a],
-                                      csr.prop_delay_ms[a], params_.delay_model);
-  }
-  base.delay.end_to_end_delays(graph_, cost_delay, {}, base.arc_delay, traffic_.delay,
-                               params_.sla_delay_mode, {}, base.sd_delay);
 
   EvalResult& none = base.none_result;
   none = EvalResult{};
-  const double disconnect_delay =
-      params_.sla.theta_ms + params_.disconnect_delay_excess_ms;
-  const SlaAggregate sla = accumulate_sla_cost(base.sd_delay, params_.sla,
-                                               disconnect_delay);
-  none.lambda = sla.lambda;
-  none.sla_violations = sla.violations;
   none.disconnected_delay_pairs = base.delay.disconnected_demand_count();
   for (ArcId a = 0; a < num_arcs; ++a) {
     if (base.tput.arc_load(a) <= 0.0) continue;
@@ -367,6 +362,26 @@ void Evaluator::finish_base(std::span<const double> cost_delay,
   }
   none.phi += kFortzMaxSlope * base.tput.disconnected_demand_volume();
   none.disconnected_tput_pairs = base.tput.disconnected_demand_count();
+}
+
+void Evaluator::ensure_lambda(std::span<const double> cost_delay,
+                              const IncrementalBase& base) const {
+  std::call_once(base.lambda_once, [&] {
+    // finish_scenario's arc delays, delay DP and SLA aggregation, over the
+    // base's no-failure routings.
+    const GraphCsr& csr = graph_.csr();
+    std::vector<double> arc_delay(graph_.num_arcs());
+    for (ArcId a = 0; a < arc_delay.size(); ++a)
+      arc_delay[a] = link_delay_ms(base.total_load[a], csr.capacity[a], csr.prop_delay_ms[a],
+                                   params_.delay_model);
+    base.delay.end_to_end_delays(graph_, cost_delay, {}, arc_delay, traffic_.delay,
+                                 params_.sla_delay_mode, {}, base.sd_delay);
+    const double disconnect_delay =
+        params_.sla.theta_ms + params_.disconnect_delay_excess_ms;
+    const SlaAggregate sla = accumulate_sla_cost(base.sd_delay, params_.sla, disconnect_delay);
+    base.lambda = sla.lambda;
+    base.sla_violations = sla.violations;
+  });
 }
 
 void Evaluator::build_base_from_donor(const WeightSetting& w,
@@ -402,7 +417,7 @@ void Evaluator::build_base_from_donor(const WeightSetting& w,
   built.tput.compute_from_weight_delta(graph_, cost_tput, traffic_.throughput,
                                        donor.tput, donor.tput_record, tput_changes,
                                        kIncrementalMaxAffectedFraction, scratch);
-  finish_base(cost_delay, built);
+  finish_base(built);
   cache_->note_weight_patch(delay_changes.size() + tput_changes.size());
 }
 
@@ -443,9 +458,12 @@ std::shared_ptr<const Evaluator::IncrementalBase> Evaluator::acquire_base(
   return base;
 }
 
-EvalResult Evaluator::serve_none_from_base(const IncrementalBase& base,
-                                           EvalDetail detail) const {
+EvalResult Evaluator::serve_none_from_base(std::span<const double> cost_delay,
+                                           const IncrementalBase& base, EvalDetail detail) const {
+  ensure_lambda(cost_delay, base);
   EvalResult result = base.none_result;
+  result.lambda = base.lambda;
+  result.sla_violations = base.sla_violations;
   if (detail == EvalDetail::kFull) {
     const GraphCsr& csr = graph_.csr();
     const std::size_t num_arcs = graph_.num_arcs();
@@ -459,6 +477,25 @@ EvalResult Evaluator::serve_none_from_base(const IncrementalBase& base,
     result.sd_delay_ms = base.sd_delay;
   }
   return result;
+}
+
+std::optional<CostPair> Evaluator::evaluate_phi_first(const WeightSetting& w,
+                                                      double phi_bound) const {
+  if (w.num_links() != graph_.num_links())
+    throw std::invalid_argument("Evaluator::evaluate_phi_first: weight setting size mismatch");
+  if (cache_ == nullptr) {
+    const CostPair cost = evaluate(w).cost();
+    if (cost.phi > phi_bound) return std::nullopt;
+    return cost;
+  }
+  Scratch& scratch = worker_scratch();
+  w.arc_costs(graph_, TrafficClass::kDelay, scratch.cost_delay);
+  w.arc_costs(graph_, TrafficClass::kThroughput, scratch.cost_tput);
+  const std::shared_ptr<const IncrementalBase> base = acquire_base(
+      w, scratch.cost_delay, scratch.cost_tput, /*build=*/true, /*patch=*/false);
+  if (base->none_result.phi > phi_bound) return std::nullopt;
+  ensure_lambda(scratch.cost_delay, *base);
+  return CostPair{base->lambda, base->none_result.phi};
 }
 
 EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
@@ -477,7 +514,7 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
   if (base != nullptr && incremental_eligible(scenario)) {
     if (scenario.kind == FailureScenario::Kind::kNone) {
       if (stats != nullptr) ++stats->scenarios_served_none;
-      return serve_none_from_base(*base, detail);
+      return serve_none_from_base(cost_delay, *base, detail);
     }
     if (incremental_patchable(scenario)) {
       // One compound representation internally: every patchable kind —

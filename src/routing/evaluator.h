@@ -66,12 +66,14 @@ inline constexpr double kIncrementalMaxAffectedFraction = 0.25;
 struct EvaluatorConfig {
   /// The incremental path. A weights-keyed cache (kBaseCacheCapacity
   /// entries, keys compared by VALUE) holds one base record per weight
-  /// vector: both class routings plus the no-failure loads, arc delays,
-  /// end-to-end delays and aggregated costs. A no-failure evaluate() builds
-  /// and caches it, so the sweeps / failure evaluations the optimizer issues
-  /// for the SAME weights reuse it. Eviction is LRU, where serving as a
-  /// donor (below) counts as a use, except for one pinned entry: the search
-  /// incumbent, named by pin_incumbent. The replay records are materialized
+  /// vector: both class routings plus the no-failure loads and Phi; its
+  /// end-to-end delays and Lambda are computed on first use (a served
+  /// no-failure result, or evaluate_phi_first within its bound), so pinned
+  /// bases and bases only patched from never run the delay DP. A no-failure
+  /// evaluate() builds and caches it, so the sweeps / failure evaluations
+  /// the optimizer issues for the SAME weights reuse it. Eviction is LRU,
+  /// where serving as a donor (below) counts as a use, except for one pinned
+  /// entry: the search incumbent, named by pin_incumbent. The replay records are materialized
   /// LAZILY, on the first call that patches a failure from the base, so
   /// Phase-1 probes whose bases are evicted unused never pay for them.
   /// Arc-removal scenarios — single links, link pairs, links-only compound
@@ -228,6 +230,13 @@ class Evaluator {
                       const FailureScenario& scenario = FailureScenario::none(),
                       EvalDetail detail = EvalDetail::kCostsOnly) const;
 
+  /// No-failure cost of `w` with Phi checked first: nullopt exactly when
+  /// evaluate(w).phi > phi_bound, otherwise evaluate(w).cost(), bit for bit.
+  /// A rejection never runs the delay DP (the Lambda side of a cached base is
+  /// lazy), so a caller bounding Phi — Phase 2's constraint (6) — skips the
+  /// DP for every candidate that fails the bound.
+  std::optional<CostPair> evaluate_phi_first(const WeightSetting& w, double phi_bound) const;
+
   /// Evaluation with caller-provided distance labels (see
   /// SharedScenarioLabels) instead of running any SPF: both class routings
   /// load-sweep over the given labels under the scenario's alive mask, then
@@ -324,9 +333,9 @@ class Evaluator {
   };
 
   /// Cached no-failure base of the incremental path: both class routings,
-  /// the no-failure loads, arc delays, end-to-end delays and aggregated
-  /// costs, plus the lazily recorded replay records. Built once per weight
-  /// vector on one thread, then read concurrently by every worker.
+  /// the no-failure loads and Phi, plus two lazy products — the replay
+  /// records and the Lambda side (end-to-end delays, SLA cost). Built once
+  /// per weight vector on one thread, then read concurrently by every worker.
   struct IncrementalBase;
 
   /// Weights-keyed LRU cache of shared_ptr'd IncrementalBase records
@@ -369,11 +378,15 @@ class Evaluator {
                              std::span<const double> cost_tput,
                              IncrementalBase& built) const;
 
-  /// No-failure products of a base whose routings are done: total loads,
-  /// arc delays, end-to-end delays, and the aggregated costs (SLA over
-  /// base.sd_delay — mutating it in place like every evaluation does — plus
-  /// the Fortz sum) in base.none_result.
-  void finish_base(std::span<const double> cost_delay, IncrementalBase& base) const;
+  /// Eager no-failure products of a base whose routings are done: total
+  /// loads and the Phi side of base.none_result.
+  void finish_base(IncrementalBase& base) const;
+
+  /// Materializes the Lambda side of a base's no-failure evaluation: arc
+  /// delays, the end-to-end delay DP and the SLA aggregation (over
+  /// base.sd_delay, mutating it in place like every evaluation does).
+  /// Thread-safe (call_once); a no-op after the first call.
+  void ensure_lambda(std::span<const double> cost_delay, const IncrementalBase& base) const;
 
   /// Materializes the replay records of a lazily built base by re-running
   /// the load sweeps over its existing labels with recording enabled.
@@ -392,9 +405,11 @@ class Evaluator {
                                                       bool build, bool patch) const;
 
   /// No-failure evaluation served from a cached base: returns the stored
-  /// aggregate (and rebuilds the kFull detail vectors from the stored
-  /// no-failure products) — bit-identical to recomputing, by purity.
-  EvalResult serve_none_from_base(const IncrementalBase& base, EvalDetail detail) const;
+  /// aggregate, running ensure_lambda first (and rebuilds the kFull detail
+  /// vectors from the stored no-failure products) — bit-identical to
+  /// recomputing, by purity.
+  EvalResult serve_none_from_base(std::span<const double> cost_delay,
+                                  const IncrementalBase& base, EvalDetail detail) const;
 
   /// The calling thread's persistent scratch. Pool workers are long-lived,
   /// so batched evaluations reuse buffers across calls, not just within one.

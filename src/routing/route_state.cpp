@@ -1,6 +1,7 @@
 #include "routing/route_state.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -13,6 +14,23 @@ namespace {
 constexpr double kTightEps = 1e-7;
 
 inline bool alive(ArcAliveMask mask, ArcId a) { return mask.empty() || mask[a] != 0; }
+
+/// Words of one destination's tight-arc bitmask: one bit per CSR out-arc slot.
+inline std::size_t tight_words(std::size_t num_arcs) { return (num_arcs + 63) / 64; }
+
+inline void set_bit(std::uint64_t* row, std::uint32_t k) {
+  row[k >> 6] |= std::uint64_t{1} << (k & 63);
+}
+
+/// First set bit of `row` in [k, end), or `end` when there is none.
+inline std::uint32_t next_bit(const std::uint64_t* row, std::uint32_t k, std::uint32_t end) {
+  while (k < end) {
+    const std::uint64_t word = row[k >> 6] >> (k & 63);
+    if (word != 0) return std::min(end, k + static_cast<std::uint32_t>(std::countr_zero(word)));
+    k = (k | 63) + 1;
+  }
+  return end;
+}
 }  // namespace
 
 void PatchStats::observe_affected(std::uint64_t n) {
@@ -72,6 +90,7 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   const std::size_t n = g.num_nodes();
   arc_load_.assign(g.num_arcs(), 0.0);
   dist_.resize(n);
+  tight_.assign(n * tight_words(g.num_arcs()), 0);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
   if (record != nullptr) record->reset(n);
@@ -92,9 +111,12 @@ void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc
                                      const TrafficMatrix& demands, ArcAliveMask alive_mask,
                                      std::span<const NodeId> skip_nodes, NodeId t,
                                      RoutingBaseRecord* record) {
+  const std::size_t words = tight_words(g.num_arcs());
+  const std::span<std::uint64_t> row(tight_.data() + t * words, words);
+  std::fill(row.begin(), row.end(), 0);
   sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, record,
                          &arc_load_, &disconnected_, &disconnected_volume_, node_flow_,
-                         order_);
+                         order_, row);
 }
 
 void ClassRouting::sweep_destination_body(
@@ -102,7 +124,8 @@ void ClassRouting::sweep_destination_body(
     ArcAliveMask alive_mask, std::span<const NodeId> skip_nodes, NodeId t,
     RoutingBaseRecord* record, std::vector<double>* arc_load,
     std::size_t* disconnected, double* disconnected_volume,
-    std::vector<double>& node_flow, std::vector<NodeId>& order) const {
+    std::vector<double>& node_flow, std::vector<NodeId>& order,
+    std::span<std::uint64_t> tight_row) const {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
   node_flow.assign(n, 0.0);
@@ -143,8 +166,12 @@ void ClassRouting::sweep_destination_body(
 
   // CSR sweep: both passes stream the contiguous out-arc span of u (same
   // ascending-arc-id order as the legacy per-node vectors — same float
-  // accumulation order, bit-identical loads).
+  // accumulation order, bit-identical loads). The first pass marks u's tight
+  // slots in `tight_row`; the second, and later the delay DP, read the bits.
+  // The sort's tie order fixes the order in which node_flow accumulates, so
+  // it stays even though the DP no longer needs an order.
   const GraphCsr& csr = g.csr();
+  std::uint64_t* const row = tight_row.data();
   for (NodeId u : order) {
     const double flow = node_flow[u];
     if (flow <= 0.0) continue;
@@ -153,8 +180,10 @@ void ClassRouting::sweep_destination_body(
     int tight_count = 0;
     for (std::uint32_t k = begin; k < end; ++k) {
       const ArcId a = csr.out_arc[k];
-      if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist))
+      if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist)) {
+        set_bit(row, k);
         ++tight_count;
+      }
     }
     if (tight_count == 0) {
       // Cannot happen for finite-dist nodes (a tight arc realizes dist),
@@ -162,10 +191,9 @@ void ClassRouting::sweep_destination_body(
       throw std::logic_error("ClassRouting: node with flow has no tight out-arc");
     }
     const double share = flow / tight_count;
-    for (std::uint32_t k = begin; k < end; ++k) {
+    for (std::uint32_t k = next_bit(row, begin, end); k < end; k = next_bit(row, k + 1, end)) {
       const ArcId a = csr.out_arc[k];
       const NodeId v = csr.out_head[k];
-      if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
       if (arc_load != nullptr) (*arc_load)[a] += share;
       node_flow[v] += share;
       if (record != nullptr) {
@@ -192,13 +220,15 @@ void ClassRouting::record_contributions(const Graph& g, std::span<const double> 
   // totals), so only the record is written.
   std::vector<double> node_flow;
   std::vector<NodeId> order;
+  std::vector<std::uint64_t> row(tight_words(g.num_arcs()));
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) {
       record.disconnected.push_back(0);
       record.disconnected_volume.push_back(0.0);
     } else {
+      std::fill(row.begin(), row.end(), 0);
       sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, &record,
-                             nullptr, nullptr, nullptr, node_flow, order);
+                             nullptr, nullptr, nullptr, node_flow, order, row);
     }
     record.contrib_offset.push_back(record.contrib_arc.size());
   }
@@ -215,11 +245,15 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || record.contrib_offset.size() != n + 1)
+  if (base.dist_.size() != n || base.tight_.size() != n * tight_words(g.num_arcs()) ||
+      record.contrib_offset.size() != n + 1)
     throw std::invalid_argument("compute_from_base: base/record don't match this graph");
 
   arc_load_.assign(g.num_arcs(), 0.0);
   dist_.resize(n);
+  // Replayed destinations keep the base's DAG, so they keep its tight bits;
+  // re-swept ones overwrite their row.
+  tight_ = base.tight_;
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
 
@@ -284,12 +318,14 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || record.contrib_offset.size() != n + 1)
+  if (base.dist_.size() != n || base.tight_.size() != n * tight_words(g.num_arcs()) ||
+      record.contrib_offset.size() != n + 1)
     throw std::invalid_argument(
         "compute_from_weight_delta: base/record don't match this graph");
 
   arc_load_.assign(g.num_arcs(), 0.0);
   dist_.resize(n);
+  tight_ = base.tight_;
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
 
@@ -361,6 +397,7 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
 
   arc_load_.assign(g.num_arcs(), 0.0);
   dist_.resize(n);
+  tight_.assign(n * tight_words(g.num_arcs()), 0);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
 
@@ -382,11 +419,21 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
   const std::size_t n = g.num_nodes();
   if (arc_delay_ms.size() != g.num_arcs())
     throw std::invalid_argument("end_to_end_delays: arc_delay size mismatch");
+  const std::size_t words = tight_words(g.num_arcs());
+  if (dist_.size() != n || tight_.size() != n * words)
+    throw std::logic_error("end_to_end_delays: routing not computed for this graph");
   out.assign(n * n, -1.0);
 
   const GraphCsr& csr = g.csr();
+  const bool worst = mode == SlaDelayMode::kWorstPath;
   std::vector<double> node_delay(n);
-  std::vector<NodeId> order(n);
+  std::vector<std::uint8_t> seen(n);
+  std::vector<std::uint64_t> row(words);
+  struct Frame {
+    NodeId u;
+    std::uint32_t next;  ///< next out-arc slot of u to descend through
+  };
+  std::vector<Frame> stack;
 
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) continue;
@@ -397,42 +444,69 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
       any_demand = (s != t && !is_skipped(skip_nodes, s) && demands.at(s, t) > 0.0);
     if (!any_demand) continue;
 
-    // DP over the shortest-path DAG in increasing distance order:
+    // The sweep marked the tight out-arcs of every node that carried flow
+    // toward t. A node it never reached with flow (possible only through
+    // float underflow of its share) gets its bits from the predicate here.
+    std::copy_n(tight_.begin() + static_cast<std::ptrdiff_t>(t * words), words, row.begin());
+    const auto open = [&](NodeId u) {
+      seen[u] = 1;
+      stack.push_back({u, csr.out_offset[u]});
+      const std::uint32_t begin = csr.out_offset[u];
+      const std::uint32_t end = csr.out_offset[u + 1];
+      if (next_bit(row.data(), begin, end) != end) return;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const ArcId a = csr.out_arc[k];
+        if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist))
+          set_bit(row.data(), k);
+      }
+    };
+
+    // DP over the shortest-path DAG in memoised post-order from each source:
     //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
     //   worst:    W[u] = max_a (D_a + W[dst_a])
-    order.clear();
-    for (NodeId u = 0; u < n; ++u)
-      if (dist[u] != kInfDist) order.push_back(u);
-    std::sort(order.begin(), order.end(),
-              [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
-
-    std::fill(node_delay.begin(), node_delay.end(), 0.0);
-    for (NodeId u : order) {
-      if (u == t) continue;
-      int tight_count = 0;
-      double acc = (mode == SlaDelayMode::kWorstPath) ? -kInfDist : 0.0;
-      for (std::uint32_t k = csr.out_offset[u]; k < csr.out_offset[u + 1]; ++k) {
-        const ArcId a = csr.out_arc[k];
-        const NodeId v = csr.out_head[k];
-        if (!alive(alive_mask, a) || !arc_is_tight(u, v, arc_cost[a], dist)) continue;
-        ++tight_count;
-        const double through = arc_delay_ms[a] + node_delay[v];
-        if (mode == SlaDelayMode::kWorstPath) {
-          acc = std::max(acc, through);
-        } else {
-          acc += through;
-        }
-      }
-      node_delay[u] = (mode == SlaDelayMode::kWorstPath)
-                          ? acc
-                          : (tight_count > 0 ? acc / tight_count : 0.0);
-    }
-
+    // A node is summed once all its successors are final, over its tight
+    // slots in CSR order — the float ops of an increasing-distance loop.
+    std::fill(seen.begin(), seen.end(), 0);
+    seen[t] = 1;
+    node_delay[t] = 0.0;
     for (NodeId s = 0; s < n; ++s) {
       if (s == t || is_skipped(skip_nodes, s)) continue;
       if (demands.at(s, t) <= 0.0) continue;
-      out[static_cast<std::size_t>(s) * n + t] =
-          (dist[s] == kInfDist) ? kInfDist : node_delay[s];
+      const std::size_t slot = static_cast<std::size_t>(s) * n + t;
+      if (dist[s] == kInfDist) {
+        out[slot] = kInfDist;
+        continue;
+      }
+      if (!seen[s]) open(s);
+      while (!stack.empty()) {
+        Frame& f = stack.back();
+        const NodeId u = f.u;
+        const std::uint32_t end = csr.out_offset[u + 1];
+        NodeId child = kInvalidNode;
+        for (std::uint32_t k = next_bit(row.data(), f.next, end); k < end;
+             k = next_bit(row.data(), k + 1, end)) {
+          if (!seen[csr.out_head[k]]) {
+            child = csr.out_head[k];
+            f.next = k + 1;
+            break;
+          }
+        }
+        if (child != kInvalidNode) {
+          open(child);
+          continue;
+        }
+        int tight_count = 0;
+        double acc = worst ? -kInfDist : 0.0;
+        for (std::uint32_t k = next_bit(row.data(), csr.out_offset[u], end); k < end;
+             k = next_bit(row.data(), k + 1, end)) {
+          ++tight_count;
+          const double through = arc_delay_ms[csr.out_arc[k]] + node_delay[csr.out_head[k]];
+          acc = worst ? std::max(acc, through) : acc + through;
+        }
+        node_delay[u] = worst ? acc : (tight_count > 0 ? acc / tight_count : 0.0);
+        stack.pop_back();
+      }
+      out[slot] = node_delay[s];
     }
   }
 }

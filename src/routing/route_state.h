@@ -204,6 +204,12 @@ class ClassRouting {
   /// per-arc delays D_a (computed from TOTAL load across classes).
   /// out[s*n + t] = delay in ms; untouched entries are set to -1 (pairs with
   /// no demand). Disconnected pairs with demand get kInfDist.
+  ///
+  /// Walks the ECMP DAG the load sweep recorded (its tight out-arcs per
+  /// destination), so `arc_cost`, `alive`, `demands` and `skip_nodes` must be
+  /// the inputs this routing was computed with. Throws std::logic_error when
+  /// the routing holds no DAG for `g` (never computed, or computed for a
+  /// graph of another size).
   void end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                          ArcAliveMask alive, std::span<const double> arc_delay_ms,
                          const TrafficMatrix& demands, SlaDelayMode mode,
@@ -227,17 +233,23 @@ class ClassRouting {
   /// `record` receives the replay slices (eager recording and the lazy
   /// record_contributions, which passes null accumulators). One body means
   /// one set of float ops — the recorded shares cannot drift from the
-  /// applied ones.
+  /// applied ones. `tight_row` (zeroed by the caller) receives the tight
+  /// out-arc slots of every node that carries flow toward `t`.
   void sweep_destination_body(const Graph& g, std::span<const double> arc_cost,
                               const TrafficMatrix& demands, ArcAliveMask alive_mask,
                               std::span<const NodeId> skip_nodes, NodeId t,
                               RoutingBaseRecord* record, std::vector<double>* arc_load,
                               std::size_t* disconnected, double* disconnected_volume,
-                              std::vector<double>& node_flow,
-                              std::vector<NodeId>& order) const;
+                              std::vector<double>& node_flow, std::vector<NodeId>& order,
+                              std::span<std::uint64_t> tight_row) const;
 
   std::vector<double> arc_load_;
   std::vector<std::vector<double>> dist_;
+  /// The ECMP DAG per destination: row t (ceil(|A|/64) words) has bit k set
+  /// iff CSR out-arc slot k is tight toward t and its tail carries flow.
+  /// Written by the load sweep; destinations replayed from a base copy the
+  /// base's row (their DAG is unchanged). Read by end_to_end_delays.
+  std::vector<std::uint64_t> tight_;
   std::size_t disconnected_ = 0;
   double disconnected_volume_ = 0.0;
   // compute() scratch, kept to avoid reallocation across evaluations.

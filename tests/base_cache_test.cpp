@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -248,6 +249,53 @@ TEST(BaseCacheTest, PinnedIncumbentSurvivesUntilReleased) {
   EXPECT_EQ(ev.base_cache_stats().misses, released.misses + 1);
   ev.evaluate(next);
   EXPECT_EQ(ev.base_cache_stats().hits, released.hits + 1);
+}
+
+TEST(BaseCacheTest, PhiFirstBaseLaterServesIdenticalBytes) {
+  // A base first built by a Phi-rejected screen has never run its delay DP.
+  // Served later — costs only and kFull — it must match a fresh evaluator.
+  const TestInstance inst = make_test_instance(12, 4.0, 89);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator fresh(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting w = random_weights(inst.graph, 30, 97);
+
+  ASSERT_FALSE(ev.evaluate_phi_first(w, 0.0).has_value());
+  EXPECT_EQ(ev.base_cache_stats().insertions, 1u);
+  expect_results_identical(ev.evaluate(w), fresh.evaluate(w));
+  expect_results_identical(ev.evaluate(w, FailureScenario::none(), EvalDetail::kFull),
+                           plain.evaluate(w, FailureScenario::none(), EvalDetail::kFull));
+  EXPECT_EQ(ev.base_cache_stats().hits, 2u);
+  EXPECT_EQ(ev.base_cache_stats().insertions, 1u);
+
+  // A failure evaluation patched from such a base is unaffected too.
+  const WeightSetting v = random_weights(inst.graph, 30, 101);
+  ASSERT_FALSE(ev.evaluate_phi_first(v, 0.0).has_value());
+  const FailureScenario failure = FailureScenario::link(3);
+  expect_results_identical(ev.evaluate(v, failure, EvalDetail::kFull),
+                           plain.evaluate(v, failure, EvalDetail::kFull));
+}
+
+TEST(BaseCacheTest, ConcurrentLambdaReadsOfOneFreshBase) {
+  // Four threads serve the no-failure result of one base whose Lambda side
+  // has not been computed yet (a pin builds none), racing into its
+  // call_once. Every thread must read the oracle's bytes.
+  const TestInstance inst = make_test_instance(12, 4.0, 103);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {});
+  const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const WeightSetting w = random_weights(inst.graph, 30, 107);
+  const EvalResult want = plain.evaluate(w, FailureScenario::none(), EvalDetail::kFull);
+  ev.pin_incumbent(w);
+
+  std::vector<EvalResult> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    threads.emplace_back([&, i] {
+      got[i] = ev.evaluate(w, FailureScenario::none(), EvalDetail::kFull);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const EvalResult& r : got) expect_results_identical(r, want);
+  EXPECT_EQ(ev.base_cache_stats().insertions, 1u);
 }
 
 TEST(BaseCacheTest, PinIsNoOpWithoutIncrementalPath) {

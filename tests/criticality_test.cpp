@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <set>
+#include <utility>
 
 #include "core/criticality.h"
 #include "core/rank_convergence.h"
+#include "routing/failures.h"
+#include "telemetry/telemetry.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace dtr {
@@ -191,6 +197,69 @@ TEST(CollectorTest, Validation) {
   EXPECT_THROW(CriticalityCollector(2, 100, 100.0, bad_q, 1), std::invalid_argument);
   CriticalityCollector c(2, 100, 100.0, quick_params(), 1);
   EXPECT_THROW(c.add_sample(5, {1.0, 1.0}), std::out_of_range);
+}
+
+// ------------------------------------------------------- Phase 1b top-up
+
+void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i])) << i;
+}
+
+TEST(TopUpTest, ExactModeEvaluatesEachDistinctPairOnce) {
+  // A pool of three settings over a 10-node catalog repeats (entry, link)
+  // pairs many times. The top-up must feed exactly the samples of a loop that
+  // evaluates every draw, while evaluating each distinct pair once.
+  const test::TestInstance inst = test::make_test_instance(10, 4.0, 17);
+  telemetry::Registry reg;
+  const Evaluator ev(inst.graph, inst.traffic, inst.params, {.telemetry = &reg});
+  const Evaluator oracle(inst.graph, inst.traffic, inst.params, {.incremental = false});
+  const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
+  std::vector<AcceptableStore::Entry> storage;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    storage.push_back({test::random_weights(inst.graph, 20, seed), {}});
+  std::vector<const AcceptableStore::Entry*> entries;
+  for (const auto& entry : storage) entries.push_back(&entry);
+  const CriticalityParams params = quick_params();
+  const long budget = 300;
+
+  CriticalityCollector collector(scenarios.size(), 20, 100.0, params, 5);
+  Rng rng(9);
+  const TopUpCounts counts = top_up_criticality_samples(
+      ev, collector, scenarios, entries, SamplingMode::kExactFailure, 20, budget, rng);
+
+  // The reference: the same draws, one evaluation per draw.
+  CriticalityCollector reference(scenarios.size(), 20, 100.0, params, 5);
+  Rng ref_rng(9);
+  long drawn = 0;
+  std::set<std::pair<std::size_t, LinkId>> distinct;
+  while (!reference.converged() && drawn < budget) {
+    for (const LinkId l : reference.links_by_sample_need()) {
+      if (reference.converged() || drawn >= budget) break;
+      const std::size_t e = ref_rng.uniform_index(entries.size());
+      distinct.insert({e, l});
+      reference.add_sample(l, oracle.evaluate(entries[e]->setting, scenarios[l]).cost());
+      ++drawn;
+    }
+  }
+
+  EXPECT_EQ(counts.drawn, drawn);
+  EXPECT_EQ(counts.evaluated, static_cast<long>(distinct.size()));
+  EXPECT_LT(counts.evaluated, counts.drawn);
+  EXPECT_EQ(reg.snapshot(telemetry::Plane::kDeterministic).counter("eval.scenarios"),
+            distinct.size());
+  EXPECT_EQ(collector.converged(), reference.converged());
+  const CriticalityEstimates got = collector.estimates();
+  const CriticalityEstimates want = reference.estimates();
+  expect_bits_equal(got.rho_lambda, want.rho_lambda);
+  expect_bits_equal(got.rho_phi, want.rho_phi);
+  expect_bits_equal(got.mean_lambda, want.mean_lambda);
+  expect_bits_equal(got.tail_phi, want.tail_phi);
+  EXPECT_EQ(criticality_ranks(got.rho_lambda), criticality_ranks(want.rho_lambda));
+  EXPECT_EQ(criticality_ranks(got.rho_phi), criticality_ranks(want.rho_phi));
+  // Both RNG streams consumed the same draws.
+  EXPECT_EQ(rng.uniform_index(1u << 30), ref_rng.uniform_index(1u << 30));
 }
 
 }  // namespace

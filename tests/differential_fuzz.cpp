@@ -6,7 +6,7 @@
 /// budget — CI passes a per-run seed (echoed below for replay) so every run
 /// explores new instances.
 ///
-/// Three layers are fuzzed against their reference implementations:
+/// Five layers are fuzzed against their reference implementations:
 ///   1. delta_spf_update_arcs (weight deltas: increases, decreases, and
 ///      dead-arc removals, multi-link change lists) vs a full Dijkstra;
 ///   2. failure-scenario evaluation (single links, link pairs, links-only
@@ -17,7 +17,13 @@
 ///   4. the pinned incumbent: a local-search-shaped walk interleaving
 ///      pin_incumbent with single-link probes, accepts, restarts and
 ///      fallbacks to an earlier best, vs the full recompute — and the pinned
-///      setting must still be cached whenever the walk returns to it.
+///      setting must still be cached whenever the walk returns to it;
+///   5. the end-to-end delay DP over the routing's recorded ECMP DAG vs the
+///      sorted-order reference DP (reference_delay_dp.h), on routings from
+///      compute (dead arcs, skipped nodes), compute_from_base,
+///      compute_from_weight_delta and compute_with_labels, both delay modes,
+///      dense and sparse demand. Layers 2-4 cannot see a DP bug: the fast
+///      and the full evaluator run the same DP.
 ///
 /// Usage: differential_fuzz [--seed N] [--budget-seconds S]
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
@@ -37,6 +43,7 @@
 #include "experiments/workloads.h"
 #include "graph/spf.h"
 #include "graph/topology.h"
+#include "reference_delay_dp.h"
 #include "routing/evaluator.h"
 #include "routing/failures.h"
 #include "routing/weights.h"
@@ -49,6 +56,7 @@ namespace {
 std::uint64_t g_seed = 0;
 std::uint64_t g_iteration = 0;
 int g_failures = 0;
+std::size_t g_dp_checks = 0;
 
 void report_divergence(const char* layer, const std::string& detail) {
   std::fprintf(stderr,
@@ -296,6 +304,24 @@ void fuzz_pinned_search(Rng& rng) {
   }
 }
 
+/// Layer 5: the delay DP over the recorded DAG vs the sorted reference.
+void fuzz_delay_dp(Rng& rng) {
+  const Graph g = random_graph(rng);
+  const std::size_t n = g.num_nodes();
+  TrafficMatrix demands(n);
+  // Dense (every pair) or sparse (a handful of pairs) demand.
+  const bool sparse = rng.uniform_int(0, 1) == 0;
+  for (NodeId s = 0; s < n; ++s)
+    for (NodeId t = 0; t < n; ++t)
+      if (s != t && (!sparse || rng.uniform_int(0, 9) == 0))
+        demands.set(s, t, rng.uniform(0.1, 10.0));
+  const int wmax = rng.uniform_int(0, 1) == 0 ? 2 : 20;
+  const std::string shape =
+      (sparse ? " (sparse, wmax " : " (dense, wmax ") + std::to_string(wmax) + ")";
+  for (const std::string& bad : test::delay_dp_mismatches(g, demands, wmax, rng, g_dp_checks))
+    report_divergence("end_to_end_delays", bad + shape);
+}
+
 }  // namespace
 }  // namespace dtr
 
@@ -326,11 +352,12 @@ int main(int argc, char** argv) {
     dtr::fuzz_delta_spf(rng);
     dtr::fuzz_evaluator(rng);
     dtr::fuzz_pinned_search(rng);
+    dtr::fuzz_delay_dp(rng);
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  std::printf("differential_fuzz: %llu iterations in %.1fs, %d divergences\n",
-              static_cast<unsigned long long>(dtr::g_iteration), elapsed,
+  std::printf("differential_fuzz: %llu iterations (%zu DP checks) in %.1fs, %d divergences\n",
+              static_cast<unsigned long long>(dtr::g_iteration), dtr::g_dp_checks, elapsed,
               dtr::g_failures);
   // A run that compared nothing proved nothing: it must not pass the gate.
   if (dtr::g_iteration == 0) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "routing/evaluator.h"
 #include "test_helpers.h"
 #include "traffic/gravity.h"
@@ -251,6 +255,33 @@ TEST(EvaluatorTest, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a.lambda, b.lambda);
   EXPECT_DOUBLE_EQ(a.phi, b.phi);
   EXPECT_EQ(a.sla_violations, b.sla_violations);
+}
+
+TEST(EvaluatorTest, PhiFirstRejectsExactlyAboveBound) {
+  // evaluate_phi_first(w, bound) is nullopt iff evaluate(w).phi > bound and
+  // otherwise evaluate(w).cost() bit for bit — on both engine paths, and
+  // whether or not the base was cached (or its Lambda computed) before.
+  const test::TestInstance inst = test::make_test_instance(10, 4.0, 29);
+  for (const bool incremental : {true, false}) {
+    const Evaluator ev(inst.graph, inst.traffic, inst.params, {.incremental = incremental});
+    const Evaluator reference(inst.graph, inst.traffic, inst.params, {.incremental = incremental});
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const WeightSetting w = test::random_weights(inst.graph, 30, seed);
+      const CostPair want = reference.evaluate(w).cost();
+      const double inf = std::numeric_limits<double>::infinity();
+      const double below = std::nextafter(want.phi, 0.0);
+      const double above = std::nextafter(want.phi, inf);
+      for (const double bound : {below, 0.0, want.phi, above, inf}) {
+        const std::optional<CostPair> got = ev.evaluate_phi_first(w, bound);
+        ASSERT_EQ(got.has_value(), !(want.phi > bound))
+            << "incremental=" << incremental << " seed " << seed << " bound " << bound;
+        if (!got.has_value()) continue;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got->lambda),
+                  std::bit_cast<std::uint64_t>(want.lambda));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got->phi), std::bit_cast<std::uint64_t>(want.phi));
+      }
+    }
+  }
 }
 
 }  // namespace

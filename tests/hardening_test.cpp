@@ -279,17 +279,18 @@ TEST(HardeningTest, CatalogTopUpDeterministicAcrossThreads) {
 
   CriticalityCollector seq_collector(set.size(), wmax, b1, params, 91);
   Rng rng_seq(91);
-  const long seq_samples =
+  const TopUpCounts seq_samples =
       top_up_criticality_samples(ev, seq_collector, set.scenarios(), entries,
                                  SamplingMode::kExactFailure, wmax, budget, rng_seq, &one);
   CriticalityCollector par_collector(set.size(), wmax, b1, params, 91);
   Rng rng_par(91);
-  const long par_samples =
+  const TopUpCounts par_samples =
       top_up_criticality_samples(ev, par_collector, set.scenarios(), entries,
                                  SamplingMode::kExactFailure, wmax, budget, rng_par, &eight);
 
-  EXPECT_GT(seq_samples, 0);
-  EXPECT_EQ(seq_samples, par_samples);
+  EXPECT_GT(seq_samples.drawn, 0);
+  EXPECT_EQ(seq_samples.drawn, par_samples.drawn);
+  EXPECT_EQ(seq_samples.evaluated, par_samples.evaluated);
   EXPECT_EQ(seq_collector.converged(), par_collector.converged());
   const CriticalityEstimates sequential = seq_collector.estimates();
   const CriticalityEstimates parallel = par_collector.estimates();

@@ -170,6 +170,27 @@ TEST(LocalSearchTest, ObserverSeesEveryProbe) {
   EXPECT_GE(result.evaluations, events);
 }
 
+TEST(LocalSearchTest, ObserverOldWeightsRebuildIncumbent) {
+  // The event's candidate with the link's old weights restored is exactly
+  // the setting being perturbed: the initial point, then each adopted one.
+  QuadraticObjective obj({7, 3, 15, 9}, {2, 18, 5, 11});
+  LocalSearch search(quick_config(21));
+  WeightSetting incumbent(4);
+  long events = 0;
+  search.set_on_accept([&](const WeightSetting& w, const CostPair&) { incumbent = w; });
+  search.set_observer([&](const PerturbationEvent& e) {
+    ++events;
+    WeightSetting rebuilt = *e.candidate;
+    EXPECT_EQ(rebuilt.get(TrafficClass::kDelay, e.link), e.new_weight_delay);
+    EXPECT_EQ(rebuilt.get(TrafficClass::kThroughput, e.link), e.new_weight_tput);
+    rebuilt.set(TrafficClass::kDelay, e.link, e.old_weight_delay);
+    rebuilt.set(TrafficClass::kThroughput, e.link, e.old_weight_tput);
+    EXPECT_TRUE(rebuilt == incumbent) << "event " << events;
+  });
+  search.run(obj, WeightSetting(4));
+  EXPECT_GT(events, 0);
+}
+
 TEST(LocalSearchTest, InfeasibleCandidatesRejected) {
   CappedObjective obj(10);
   LocalSearch search(quick_config(4));

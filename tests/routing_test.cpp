@@ -2,13 +2,16 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "graph/topology.h"
 #include "routing/failures.h"
 #include "routing/route_state.h"
 #include "routing/weights.h"
+#include "reference_delay_dp.h"
 #include "test_helpers.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
@@ -341,6 +344,74 @@ TEST(EndToEndDelayTest, DisconnectedIsInfinite) {
   r.end_to_end_delays(g, costs, {}, arc_delay, tm, SlaDelayMode::kExpected, {},
                       out);
   EXPECT_EQ(out[0 * 3 + 2], kInfDist);
+}
+
+TEST(EndToEndDelayTest, MatchesSortedReferenceOnEveryRoutingPath) {
+  // The DAG walk must reproduce the sorted-order DP bit for bit on routings
+  // from every path that writes the DAG (compute with dead arcs and skipped
+  // nodes, compute_from_base, compute_from_weight_delta,
+  // compute_with_labels), under dense and sparse demand and ECMP-heavy
+  // weights. Incremental-vs-full checks cannot see a DP bug: both run it.
+  std::size_t checks = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const int nodes = 9 + static_cast<int>(seed % 5);
+    const test::TestInstance inst = test::make_test_instance(nodes, 3.5, seed);
+    const Graph& g = inst.graph;
+    Rng rng(seed * 7919);
+    TrafficMatrix sparse(g.num_nodes());
+    for (int i = 0; i < 4; ++i) {
+      const auto s = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+      const auto t = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+      if (s != t) sparse.set(s, t, rng.uniform(0.5, 5.0));
+    }
+    for (const TrafficMatrix* demands : {&inst.traffic.delay, &std::as_const(sparse)}) {
+      for (const int wmax : {2, 20}) {
+        const std::vector<std::string> bad =
+            test::delay_dp_mismatches(g, *demands, wmax, rng, checks);
+        EXPECT_TRUE(bad.empty()) << "seed " << seed << " wmax " << wmax << ": " << bad.front();
+      }
+    }
+  }
+  EXPECT_EQ(checks, 12u * 2 * 2 * 10);
+}
+
+TEST(EndToEndDelayTest, NodesReachedOnlyByUnderflowedShares) {
+  // The smallest denormal demand splits 50/50 at node 0 and both shares
+  // round to zero, so the sweep never reaches nodes 1 and 2 with flow and
+  // records no DAG bits for them. The DP must still walk their tight arcs.
+  const Graph g = test::make_diamond();
+  TrafficMatrix tiny(4);
+  tiny.set(0, 3, std::numeric_limits<double>::denorm_min());
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+  const ClassRouting r(g, costs, tiny, {});
+  EXPECT_EQ(r.arc_load(g.link_arcs(2)[0]), 0.0);  // 1 -> 3 carries nothing
+  std::vector<double> arc_delay(g.num_arcs());
+  for (ArcId a = 0; a < g.num_arcs(); ++a) arc_delay[a] = 1.0 + a;
+  for (const SlaDelayMode mode : {SlaDelayMode::kExpected, SlaDelayMode::kWorstPath}) {
+    std::vector<double> got, want;
+    r.end_to_end_delays(g, costs, {}, arc_delay, tiny, mode, {}, got);
+    test::reference_end_to_end_delays(g, r, costs, {}, arc_delay, tiny, mode, {}, want);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(got[0 * 4 + 3], arc_delay[0]);  // 0 -> 3 spans two arcs
+  }
+}
+
+TEST(EndToEndDelayTest, RoutingWithoutDagThrowsLogicError) {
+  const Graph g = test::make_diamond();
+  TrafficMatrix tm(4);
+  tm.set(0, 3, 1.0);
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+  const std::vector<double> arc_delay(g.num_arcs(), 1.0);
+  std::vector<double> out;
+  const auto delays = [&](const ClassRouting& r) {
+    r.end_to_end_delays(g, costs, {}, arc_delay, tm, SlaDelayMode::kExpected, {}, out);
+  };
+  EXPECT_THROW(delays(ClassRouting()), std::logic_error);
+
+  // A routing of a different graph holds no DAG for this one.
+  const Graph ring = test::make_ring(5);
+  const std::vector<double> ring_costs(ring.num_arcs(), 1.0);
+  EXPECT_THROW(delays(ClassRouting(ring, ring_costs, TrafficMatrix(5), {})), std::logic_error);
 }
 
 // ------------------------------------------------------------ failures
