@@ -166,7 +166,6 @@ struct Options {
 
 struct CampaignArgs {
   std::string spec_path;
-  bool timings = false;
   exp::CampaignRunArgs run;
   ExportArgs exports;
 };
@@ -298,7 +297,6 @@ cli::Command campaign_command(CampaignArgs& a) {
   cli::Flags own{
       cli::value("--spec", "FILE", "the campaign spec (keys: header of examples/dtr_tool.cpp)",
                  a.spec_path),
-      cli::toggle("--timings", "add per-cell wall times to the artifact", a.timings),
   };
   return {"dtr_tool campaign --spec FILE [flags]   (artifact on stdout without --json)",
           cli::join({std::move(own), exp::campaign_run_flags(a.run), export_flags(a.exports)})};
@@ -472,16 +470,12 @@ int run_campaign(const CampaignArgs& args) {
   const auto exposer = start_exposer(registry, args.exports.metrics_port);
   const exp::CampaignResult result = exp::run_campaign(campaign, options);
 
-  exp::CampaignJsonOptions json_options;
-  json_options.include_timings = args.timings;
   const std::string& json_path = args.run.json_path;
   if (json_path.empty()) {
     // Artifact on stdout, human summary suppressed (pipe-friendly).
-    exp::write_campaign_json(std::cout, result, json_options);
+    exp::write_campaign_json(std::cout, result);
   } else {
-    write_file(json_path, [&](std::ostream& out) {
-      exp::write_campaign_json(out, result, json_options);
-    });
+    write_file(json_path, [&](std::ostream& out) { exp::write_campaign_json(out, result); });
     std::cout << "wrote campaign JSON to " << json_path << "\n";
     Table table({"cell", "reps", "error", "beta R", "beta NR"});
     for (const exp::CellResult& cell : result.cells) {

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# The golden-artifact gate: each artifact under tests/golden/ must be
-# reproduced byte for byte by `dtr_tool campaign` from the spec next to it,
-# under every execution shape listed in other_shapes below (README: "Golden
-# artifacts").
+# The golden gate: each artifact under tests/golden/ must be reproduced byte
+# for byte by `dtr_tool campaign` from the spec next to it, under every
+# execution shape listed in other_shapes below, and the run's work must match
+# its ledger <spec>.work.json counter for counter (README: "Golden artifacts").
 #
 # Usage: scripts/golden.sh regen|check [--build DIR] [SPEC...]
-#   regen  rewrite the artifacts with the regeneration shape. Only after an
-#          INTENTIONAL metric change; commit the new bytes with that change.
-#   check  rerun the exact regen invocation into a temp dir (so a drifted
-#          spec path or flag fails here), then every other shape, and diff
-#          each result against the checked-in artifact; exit 1 on a diff.
+#   regen  rewrite the artifacts with the regeneration shape and the work
+#          ledgers with the ledger shape. Only after an INTENTIONAL metric or
+#          work change; commit the new bytes with that change.
+#   check  rerun both regen invocations into a temp dir (so a drifted spec
+#          path or flag fails here), then every other shape; diff each
+#          artifact and the ledger against the checked-in files; exit 1 on a
+#          diff in either direction.
 #   DIR    CMake build directory (default build); dtr_tool is built there.
 #   SPEC   campaign_smoke scenario_smoke availability_smoke events_smoke
 #          isp_smoke (default: all five).
@@ -28,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-}"
 [[ "$MODE" == regen || "$MODE" == check ]] || {
-  sed -n '7,15p' "$0" >&2
+  sed -n '7,17p' "$0" >&2
   exit 2
 }
 shift
@@ -42,12 +44,17 @@ while [[ $# -gt 0 ]]; do
 done
 [[ ${#SPECS[@]} -gt 0 ]] ||
   SPECS=(campaign_smoke scenario_smoke availability_smoke events_smoke isp_smoke)
+# A stray kill switch would empty the ledger.
+unset DTR_TELEMETRY_OFF
 
 REGEN_SHAPE="--workers 2"
+# The ledger shape runs on one thread end to end: the only shape where the
+# base-cache counters (which depend on LRU order) are deterministic too.
+LEDGER_SHAPE="--workers 1"
 
-# The shapes besides REGEN_SHAPE that each artifact must reproduce under.
-# The ISP oracle run keeps the inner pool: a full recompute is ~13x slower
-# per scenario at that size.
+# The shapes besides REGEN_SHAPE and LEDGER_SHAPE that each artifact must
+# reproduce under. The ISP oracle run keeps the inner pool: a full recompute
+# is ~13x slower per scenario at that size.
 other_shapes() {
   case "$1" in
     events_smoke) echo "--workers 1 --inner-threads 4" ;;
@@ -67,23 +74,63 @@ TOOL="$BUILD_DIR/examples/dtr_tool"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
-# run SPEC SHAPE OUT — writes SPEC's golden artifact under SHAPE to OUT.
+# ledger TELEMETRY TRACE — prints the work ledger of a run's telemetry
+# export: the deterministic counters and histograms plus the process-plane
+# counters, one entry per line so a diff names what moved. Gauges
+# (optimizer.live.* is last-write-wins) and spans (wall time) stay out. Fails
+# when the run's Chrome trace holds no span.
+ledger() {
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+telemetry = json.load(open(sys.argv[1]))
+if not json.load(open(sys.argv[2]))["traceEvents"]:
+    sys.exit(f"{sys.argv[2]}: the campaign's Chrome trace holds no span")
+sections = [("counters", telemetry["counters"]),
+            ("histograms", telemetry["histograms"]),
+            ("process.counters", telemetry["process"]["counters"])]
+print("{")
+for i, (name, entries) in enumerate(sections):
+    lines = [f"  {json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
+             for k, v in entries.items()]
+    print(f'"{name}": {{')
+    print(",\n".join(lines))
+    print("}" + ("," if i + 1 < len(sections) else ""))
+print("}")
+EOF
+}
+
+# run SPEC SHAPE OUT [WORK] — writes SPEC's golden artifact under SHAPE to
+# OUT and, given WORK, the run's work ledger to WORK.
 run() {
-  local spec="$1" shape="$2" out="$3"
-  echo "== $spec: $shape"
+  local spec="$1" shape="$2" out="$3" work="${4:-}"
+  local exports=()
+  [[ -z "$work" ]] ||
+    exports=(--telemetry-json "$SCRATCH/telemetry.json" --trace-out "$SCRATCH/trace.json")
+  echo "== $spec: $shape${work:+ (work ledger)}"
   if [[ "$spec" == events_smoke ]]; then
     # shellcheck disable=SC2086
     "$TOOL" campaign --spec "tests/golden/$spec.spec" --json /dev/null $shape \
-      --events-out "$SCRATCH/events.jsonl"
+      "${exports[@]}" --events-out "$SCRATCH/events.jsonl"
     grep '"plane":"det"' "$SCRATCH/events.jsonl" >"$out"
   else
     # shellcheck disable=SC2086
-    "$TOOL" campaign --spec "tests/golden/$spec.spec" --json "$out" $shape
+    "$TOOL" campaign --spec "tests/golden/$spec.spec" --json "$out" $shape "${exports[@]}"
   fi
+  [[ -z "$work" ]] || ledger "$SCRATCH/telemetry.json" "$SCRATCH/trace.json" >"$work"
+}
+
+# differs WANT GOT SPEC SHAPE — diffs GOT against the checked-in WANT.
+differs() {
+  diff -u "$1" "$2" && return 1
+  echo "::error::$1 diverges under '$4'."
+  echo "If the change is intentional, run scripts/golden.sh regen $3 and commit."
 }
 
 if [[ "$MODE" == regen ]]; then
-  for spec in "${SPECS[@]}"; do run "$spec" "$REGEN_SHAPE" "tests/golden/$(artifact "$spec")"; done
+  for spec in "${SPECS[@]}"; do
+    run "$spec" "$REGEN_SHAPE" "tests/golden/$(artifact "$spec")"
+    run "$spec" "$LEDGER_SHAPE" "$SCRATCH/$(artifact "$spec")" "tests/golden/$spec.work.json"
+  done
   git --no-pager diff --stat -- tests/golden/
   exit 0
 fi
@@ -91,14 +138,15 @@ fi
 status=0
 for spec in "${SPECS[@]}"; do
   want="tests/golden/$(artifact "$spec")"
+  got="$SCRATCH/$(artifact "$spec")"
   while read -r shape; do
-    got="$SCRATCH/$(artifact "$spec")"
-    run "$spec" "$shape" "$got"
-    if ! diff -u "$want" "$got"; then
-      echo "::error::$want diverges under '$shape'."
-      echo "If the change is intentional, run scripts/golden.sh regen $spec and commit."
-      status=1
+    if [[ "$shape" == "$LEDGER_SHAPE" ]]; then
+      run "$spec" "$shape" "$got" "$SCRATCH/work.json"
+      differs "tests/golden/$spec.work.json" "$SCRATCH/work.json" "$spec" "$shape" && status=1
+    else
+      run "$spec" "$shape" "$got"
     fi
-  done < <(echo "$REGEN_SHAPE"; other_shapes "$spec")
+    differs "$want" "$got" "$spec" "$shape" && status=1
+  done < <(echo "$REGEN_SHAPE"; echo "$LEDGER_SHAPE"; other_shapes "$spec")
 done
 exit "$status"

@@ -1,7 +1,6 @@
 #include "experiments/campaign.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -26,13 +25,8 @@ namespace dtr::experiments {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
 CellResult run_cell(const CampaignCell& cell, Effort effort, CellContext ctx,
                     telemetry::Registry* reg, telemetry::EventBus* bus) {
-  const auto start = std::chrono::steady_clock::now();
   ctx.telemetry = reg;
   ctx.events = bus;
   CellResult result;
@@ -88,7 +82,6 @@ CellResult run_cell(const CampaignCell& cell, Effort effort, CellContext ctx,
     const telemetry::Snapshot snap = reg->snapshot(telemetry::Plane::kDeterministic);
     for (const auto& c : snap.counters) result.telemetry.emplace_back(c.name, c.value);
   }
-  result.seconds = seconds_since(start);
   return result;
 }
 
@@ -172,7 +165,6 @@ HardeningObjective build_hardening_objective(const HardenSpec& spec, const Graph
 }
 
 CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
   if (options.workers < 0)
     throw std::invalid_argument("run_campaign: negative workers");
   if (options.inner_threads < 0)
@@ -263,7 +255,6 @@ CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& opt
     }
   }
 
-  out.seconds = seconds_since(start);
   return out;
 }
 

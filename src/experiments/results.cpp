@@ -57,19 +57,13 @@ std::vector<std::pair<std::string, Aggregate>> aggregate_metrics(const CellResul
   return out;
 }
 
-void write_campaign_json(std::ostream& os, const CampaignResult& result,
-                         const CampaignJsonOptions& options) {
+void write_campaign_json(std::ostream& os, const CampaignResult& result) {
   JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(kCampaignSchema);
   w.key("name").value(result.name);
   w.key("effort").value(result.effort);
   w.key("seed").value(static_cast<unsigned long long>(result.seed));
-  if (options.include_timings) {
-    w.key("seconds").value(result.seconds);
-    w.key("cell_workers").value(result.cell_workers);
-    w.key("inner_threads").value(result.inner_threads);
-  }
   w.key("cells").begin_array();
   for (const CellResult& cell : result.cells) {
     w.begin_object();
@@ -77,7 +71,6 @@ void write_campaign_json(std::ostream& os, const CampaignResult& result,
     w.key("label").value(cell.label);
     if (cell.error.empty()) w.key("error").null();
     else w.key("error").value(cell.error);
-    if (options.include_timings) w.key("seconds").value(cell.seconds);
     w.key("reps").begin_array();
     for (const MetricRow& rep : cell.reps) {
       w.begin_object();
@@ -121,10 +114,9 @@ void write_campaign_json(std::ostream& os, const CampaignResult& result,
   os << '\n';
 }
 
-std::string campaign_json(const CampaignResult& result,
-                          const CampaignJsonOptions& options) {
+std::string campaign_json(const CampaignResult& result) {
   std::ostringstream ss;
-  write_campaign_json(ss, result, options);
+  write_campaign_json(ss, result);
   return ss.str();
 }
 

@@ -37,7 +37,6 @@ struct CellResult {
   /// only when the cell opted in via the `telemetry=1` spec key. Emitted as
   /// the "telemetry" object — byte-identical across execution shapes.
   std::vector<std::pair<std::string, std::uint64_t>> telemetry;
-  double seconds = 0.0;  ///< wall clock; excluded from deterministic JSON
 };
 
 /// Whole-campaign outcome. Cells appear in campaign order regardless of the
@@ -47,7 +46,6 @@ struct CampaignResult {
   std::string effort;
   std::uint64_t seed = 0;
   std::vector<CellResult> cells;
-  double seconds = 0.0;   ///< wall clock; excluded from deterministic JSON
   int cell_workers = 1;   ///< execution shape; excluded from deterministic JSON
   int inner_threads = 1;  ///< execution shape; excluded from deterministic JSON
 
@@ -72,17 +70,11 @@ std::vector<std::pair<std::string, Aggregate>> aggregate_metrics(const CellResul
 /// changes incompatibly.
 inline constexpr std::string_view kCampaignSchema = "dtr.campaign.v1";
 
-struct CampaignJsonOptions {
-  /// Wall-clock and execution-shape fields are nondeterministic; keeping
-  /// them out (the default) makes artifacts byte-identical across worker
-  /// counts and across cell-parallel vs inner-parallel execution.
-  bool include_timings = false;
-};
+/// Wall-clock and execution-shape fields never enter the artifact, so it is
+/// byte-identical across worker counts and across cell-parallel vs
+/// inner-parallel execution.
+void write_campaign_json(std::ostream& os, const CampaignResult& result);
 
-void write_campaign_json(std::ostream& os, const CampaignResult& result,
-                         const CampaignJsonOptions& options = {});
-
-std::string campaign_json(const CampaignResult& result,
-                          const CampaignJsonOptions& options = {});
+std::string campaign_json(const CampaignResult& result);
 
 }  // namespace dtr::experiments

@@ -233,6 +233,29 @@ TEST(OptimizerEventsTest, DetPlaneByteIdenticalAcrossThreadShapes) {
   EXPECT_EQ(ends, 4u);    // phase1a and phase2 additionally carry search totals
 }
 
+TEST(OptimizerEventsTest, KillSwitchPublishesNothing) {
+  const TestInstance inst = make_test_instance(8, 4.0, 19);
+  const Evaluator ev(inst.graph, inst.traffic, inst.params);
+  const auto run = [&](tel::EventBus* bus) {
+    OptimizerConfig config = default_optimizer_config(Effort::kSmoke, 3);
+    config.events = bus;
+    return RobustOptimizer(ev, config).optimize();
+  };
+  tel::EventBus on_bus, off_bus;
+  const OptimizeResult on = run(&on_bus);
+  tel::set_enabled(false);
+  const OptimizeResult off = run(&off_bus);
+  tel::set_enabled(true);
+
+  // The global switch silences an attached bus outright, and removing the
+  // observer changes no decision.
+  EXPECT_FALSE(on_bus.drain().empty());
+  EXPECT_TRUE(off_bus.drain().empty());
+  EXPECT_EQ(off_bus.dropped(), 0u);
+  EXPECT_EQ(off.robust, on.robust);
+  EXPECT_EQ(off.regular, on.regular);
+}
+
 TEST(OptimizerEventsTest, TraceCostsImproveBetweenRestarts) {
   const TestInstance inst = make_test_instance(8, 4.0, 29);
   const Evaluator ev(inst.graph, inst.traffic, inst.params);

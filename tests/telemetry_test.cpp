@@ -366,6 +366,20 @@ TEST(TelemetryDeterminismTest, ResultSnapshotsPopulatedWhenDisabled) {
   EXPECT_EQ(sink.spans().size(), 0u);
   EXPECT_EQ(result.counters.counter("optimizer.runs"), 1u);
   EXPECT_GT(result.base_cache_misses(), 0u);
+
+  // The evaluator's own sink obeys the same switch: an all-link sweep with
+  // an attached registry writes no counter on either plane.
+  telemetry::Registry eval_sink;
+  EvaluatorConfig eval_config;
+  eval_config.telemetry = &eval_sink;
+  const Evaluator instrumented(inst.graph, inst.traffic, inst.params, eval_config);
+  const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
+  telemetry::set_enabled(false);
+  const auto failures = instrumented.evaluate_failures(result.robust, scenarios);
+  telemetry::set_enabled(true);
+  EXPECT_EQ(failures.size(), scenarios.size());
+  EXPECT_TRUE(eval_sink.snapshot(telemetry::Plane::kDeterministic).counters.empty());
+  EXPECT_TRUE(eval_sink.snapshot(telemetry::Plane::kProcess).counters.empty());
 }
 
 // ---------------------------------------------------------------------------
