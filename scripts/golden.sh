@@ -22,7 +22,9 @@
 # below the single-link-hardened cell's, asserted in CI), the change broke
 # the catalog objective. The artifacts are expected to be byte-identical
 # across x86-64 Linux toolchains (IEEE-754 +-*/ only, no FMA contraction,
-# shortest-round-trip JSON doubles); if one ever breaks that, regenerate on
+# shortest-round-trip JSON doubles, and no summation order left to the
+# standard library: the load sweep's visit order is a defined total order,
+# not std::sort's tie order); if one ever breaks that, regenerate on
 # ubuntu-latest, gcc, Release.
 
 set -euo pipefail

@@ -11,7 +11,10 @@ namespace {
 struct HeapEntry {
   double dist;
   NodeId node;
-  bool operator>(const HeapEntry& o) const { return dist > o.dist; }
+  // (dist, node): equal distances settle in ascending node id.
+  bool operator>(const HeapEntry& o) const {
+    return dist > o.dist || (dist == o.dist && node > o.node);
+  }
 };
 
 inline bool arc_is_alive(ArcAliveMask mask, ArcId a) {
@@ -23,7 +26,8 @@ enum class Direction { kForward, kReverse };
 /// Dijkstra with lazy deletion. For kReverse, relaxes in-arcs so the labels
 /// are "distance to t"; for kForward, out-arcs ("distance from s").
 void dijkstra(const Graph& g, NodeId origin, std::span<const double> arc_cost,
-              ArcAliveMask alive, Direction dir, std::vector<double>& dist) {
+              ArcAliveMask alive, Direction dir, std::vector<double>& dist,
+              std::vector<NodeId>* settled = nullptr) {
   if (arc_cost.size() != g.num_arcs())
     throw std::invalid_argument("dijkstra: arc_cost size mismatch");
   if (!alive.empty() && alive.size() != g.num_arcs())
@@ -41,12 +45,15 @@ void dijkstra(const Graph& g, NodeId origin, std::span<const double> arc_cost,
 
   dist.assign(g.num_nodes(), kInfDist);
   dist[origin] = 0.0;
+  if (settled != nullptr) settled->clear();
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   heap.push({0.0, origin});
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) continue;  // stale entry
+    // Pushes happen only on strict improvement, so this is u's one live pop.
+    if (settled != nullptr) settled->push_back(u);
     const std::uint32_t end = offset[u + 1];
     for (std::uint32_t k = offset[u]; k < end; ++k) {
       const ArcId a = arc_of[k];
@@ -65,8 +72,9 @@ void dijkstra(const Graph& g, NodeId origin, std::span<const double> arc_cost,
 
 void shortest_distances_to(const Graph& g, NodeId t,
                            std::span<const double> arc_cost,
-                           ArcAliveMask arc_alive, std::vector<double>& dist) {
-  dijkstra(g, t, arc_cost, arc_alive, Direction::kReverse, dist);
+                           ArcAliveMask arc_alive, std::vector<double>& dist,
+                           std::vector<NodeId>* settled) {
+  dijkstra(g, t, arc_cost, arc_alive, Direction::kReverse, dist, settled);
 }
 
 void shortest_distances_from(const Graph& g, NodeId s,

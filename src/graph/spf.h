@@ -21,10 +21,17 @@ using ArcAliveMask = std::span<const std::uint8_t>;
 /// This is the orientation the routing engine needs: per-destination distance
 /// labels define the ECMP shortest-path DAG (arc (u,v) is "tight" iff
 /// dist[u] == cost(u,v) + dist[v]).
+///
+/// When `settled` is given it receives every reachable node (t first) in the
+/// order Dijkstra settles them: ascending (dist, node id). The heap orders
+/// its entries by that pair, and positive costs put every node of one
+/// distance in the heap before the first of them pops, so the order is a
+/// function of the labels alone. The labels do not depend on it.
 void shortest_distances_to(const Graph& g, NodeId t,
                            std::span<const double> arc_cost,
                            ArcAliveMask arc_alive,
-                           std::vector<double>& dist);
+                           std::vector<double>& dist,
+                           std::vector<NodeId>* settled = nullptr);
 
 /// Fills dist[v] with the cost of the shortest s -> v path over alive arcs.
 void shortest_distances_from(const Graph& g, NodeId s,
@@ -58,6 +65,11 @@ class DeltaSpfScratch {
   /// function of graph + costs + changes, so it feeds the deterministic
   /// telemetry plane.
   std::uint64_t last_boundary_seeds() const { return boundary_seeds_; }
+
+  /// Nodes the most recent successful delta update relabelled (the count it
+  /// returned; each node once, in no particular order). Every other label
+  /// kept its bytes. Meaningless after a -1 return.
+  std::span<const NodeId> last_affected() const { return affected_; }
 
  private:
   friend std::ptrdiff_t delta_spf_update_arcs(const Graph& g,

@@ -235,6 +235,7 @@ void publish_eval_stats(telemetry::Registry& reg, const EvalStats& agg) {
   reg.counter("spf.boundary_seeds").add(p.boundary_seeds);
   reg.counter("load.dests_replayed").add(p.dests_replayed);
   reg.counter("load.dests_resweep").add(p.dests_resweep);
+  reg.counter("load.nodes_retested").add(p.nodes_retested);
   reg.counter("delay.cols_recomputed").add(p.delay_cols_recomputed);
   reg.histogram("spf.affected_region", kAffectedBucketBounds)
       .merge_buckets(p.affected_buckets, p.dests_delta, p.affected_nodes);

@@ -22,6 +22,83 @@ inline void set_bit(std::uint64_t* row, std::uint32_t k) {
   row[k >> 6] |= std::uint64_t{1} << (k & 63);
 }
 
+/// Calls fn(word index, mask) for each word that bits [begin, end) touch,
+/// with the mask selecting the range's bits in that word.
+template <class Fn>
+inline void for_each_word(std::uint32_t begin, std::uint32_t end, Fn fn) {
+  while (begin < end) {
+    const std::uint32_t stop = std::min(end, (begin | 63) + 1);
+    const std::uint32_t width = stop - begin;
+    const std::uint64_t ones = width < 64 ? (std::uint64_t{1} << width) - 1 : ~std::uint64_t{0};
+    fn(begin >> 6, ones << (begin & 63));
+    begin = stop;
+  }
+}
+
+/// Clears bits [begin, end) of `row`: one node's out-arc slot range.
+inline void clear_bits(std::uint64_t* row, std::uint32_t begin, std::uint32_t end) {
+  for_each_word(begin, end, [&](std::uint32_t w, std::uint64_t mask) { row[w] &= ~mask; });
+}
+
+/// Number of set bits of `row` in [begin, end).
+inline int count_bits(const std::uint64_t* row, std::uint32_t begin, std::uint32_t end) {
+  int count = 0;
+  for_each_word(begin, end,
+                [&](std::uint32_t w, std::uint64_t mask) { count += std::popcount(row[w] & mask); });
+  return count;
+}
+
+/// The sweep's visit order: decreasing distance, ties broken by decreasing
+/// node id — the reverse of Dijkstra's (dist, id) settle order.
+struct SweepBefore {
+  const std::vector<double>& dist;
+  bool operator()(NodeId a, NodeId b) const {
+    return dist[a] > dist[b] || (dist[a] == dist[b] && a > b);
+  }
+};
+
+/// Destination t's sweep order from a Dijkstra settle list (t first):
+/// reversed, with t dropped.
+inline void settle_to_sweep_order(std::vector<NodeId>& order) {
+  std::reverse(order.begin(), order.end());
+  order.pop_back();
+}
+
+/// Destination t's sweep order derived from its labels alone.
+void sort_sweep_order(const std::vector<double>& dist, NodeId t, std::vector<NodeId>& order) {
+  order.clear();
+  for (NodeId u = 0; u < dist.size(); ++u)
+    if (u != t && dist[u] != kInfDist) order.push_back(u);
+  std::sort(order.begin(), order.end(), SweepBefore{dist});
+}
+
+/// Destination t's sweep order after a delta update, into `out`:
+/// `base_order` minus every relabelled node, merged with the relabelled
+/// nodes that still reach t, sorted under their new labels — O(n + k log k)
+/// instead of a sort of all n. `flag` (one byte per node) is all zero on
+/// entry and on return; `moved` is scratch.
+void merge_relabelled(std::span<const NodeId> base_order, std::span<const NodeId> relabelled,
+                      const std::vector<double>& dist, NodeId t,
+                      std::vector<std::uint8_t>& flag, std::vector<NodeId>& moved,
+                      std::vector<NodeId>& out) {
+  moved.clear();
+  for (NodeId u : relabelled) {
+    flag[u] = 1;
+    if (u != t && dist[u] != kInfDist) moved.push_back(u);
+  }
+  const SweepBefore before{dist};
+  std::sort(moved.begin(), moved.end(), before);
+  out.clear();
+  std::size_t j = 0;
+  for (NodeId u : base_order) {
+    if (flag[u]) continue;
+    while (j < moved.size() && before(moved[j], u)) out.push_back(moved[j++]);
+    out.push_back(u);
+  }
+  out.insert(out.end(), moved.begin() + static_cast<std::ptrdiff_t>(j), moved.end());
+  for (NodeId u : relabelled) flag[u] = 0;
+}
+
 /// First set bit of `row` in [k, end), or `end` when there is none.
 inline std::uint32_t next_bit(const std::uint64_t* row, std::uint32_t k, std::uint32_t end) {
   while (k < end) {
@@ -44,6 +121,7 @@ void PatchStats::merge(const PatchStats& o) {
   dests_full_fallback += o.dests_full_fallback;
   dests_resweep += o.dests_resweep;
   dests_replayed += o.dests_replayed;
+  nodes_retested += o.nodes_retested;
   affected_nodes += o.affected_nodes;
   boundary_seeds += o.boundary_seeds;
   delay_cols_recomputed += o.delay_cols_recomputed;
@@ -72,6 +150,10 @@ void RoutingBaseRecord::reset(std::size_t num_nodes) {
   disconnected.reserve(num_nodes);
   disconnected_volume.clear();
   disconnected_volume.reserve(num_nodes);
+  order_offset.clear();
+  order_offset.reserve(num_nodes + 1);
+  order_offset.push_back(0);
+  order_node.clear();
 }
 
 ClassRouting::ClassRouting(const Graph& g, std::span<const double> arc_cost,
@@ -96,36 +178,42 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   if (record != nullptr) record->reset(n);
 
   for (NodeId t = 0; t < n; ++t) {
-    shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t]);
+    shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &order_);
+    settle_to_sweep_order(order_);
     if (!is_skipped(skip_nodes, t)) {
-      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, record);
+      if (record != nullptr)
+        record->order_node.insert(record->order_node.end(), order_.begin(), order_.end());
+      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, order_, record);
     } else if (record != nullptr) {
       record->disconnected.push_back(0);
       record->disconnected_volume.push_back(0.0);
     }
-    if (record != nullptr) record->contrib_offset.push_back(record->contrib_arc.size());
+    if (record != nullptr) {
+      record->contrib_offset.push_back(record->contrib_arc.size());
+      record->order_offset.push_back(record->order_node.size());
+    }
   }
 }
 
-void ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc_cost,
-                                     const TrafficMatrix& demands, ArcAliveMask alive_mask,
-                                     std::span<const NodeId> skip_nodes, NodeId t,
-                                     RoutingBaseRecord* record) {
+std::uint64_t ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc_cost,
+                                              const TrafficMatrix& demands,
+                                              ArcAliveMask alive_mask,
+                                              std::span<const NodeId> skip_nodes, NodeId t,
+                                              std::span<const NodeId> order,
+                                              RoutingBaseRecord* record) {
   const std::size_t words = tight_words(g.num_arcs());
   const std::span<std::uint64_t> row(tight_.data() + t * words, words);
-  std::fill(row.begin(), row.end(), 0);
-  sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, record,
-                         &arc_load_, &disconnected_, &disconnected_volume_, node_flow_,
-                         order_, row);
+  return sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, order,
+                                record, &arc_load_, &disconnected_, &disconnected_volume_,
+                                node_flow_, row);
 }
 
-void ClassRouting::sweep_destination_body(
+std::uint64_t ClassRouting::sweep_destination_body(
     const Graph& g, std::span<const double> arc_cost, const TrafficMatrix& demands,
     ArcAliveMask alive_mask, std::span<const NodeId> skip_nodes, NodeId t,
-    RoutingBaseRecord* record, std::vector<double>* arc_load,
-    std::size_t* disconnected, double* disconnected_volume,
-    std::vector<double>& node_flow, std::vector<NodeId>& order,
-    std::span<std::uint64_t> tight_row) const {
+    std::span<const NodeId> order, RoutingBaseRecord* record,
+    std::vector<double>* arc_load, std::size_t* disconnected, double* disconnected_volume,
+    std::vector<double>& node_flow, std::span<std::uint64_t> tight_row) const {
   const std::size_t n = g.num_nodes();
   const auto& dist = dist_[t];
   node_flow.assign(n, 0.0);
@@ -154,35 +242,30 @@ void ClassRouting::sweep_destination_body(
     record->disconnected.push_back(dest_disconnected);
     record->disconnected_volume.push_back(dest_volume);
   }
-  if (!any_flow) return;
+  if (!any_flow) return 0;
 
-  // Process reachable nodes in decreasing distance; each node's flow splits
-  // evenly over its tight out-arcs.
-  order.clear();
-  for (NodeId u = 0; u < n; ++u)
-    if (u != t && dist[u] != kInfDist) order.push_back(u);
-  std::sort(order.begin(), order.end(),
-            [&](NodeId a, NodeId b) { return dist[a] > dist[b]; });
-
-  // CSR sweep: both passes stream the contiguous out-arc span of u (same
-  // ascending-arc-id order as the legacy per-node vectors — same float
-  // accumulation order, bit-identical loads). The first pass marks u's tight
-  // slots in `tight_row`; the second, and later the delay DP, read the bits.
-  // The sort's tie order fixes the order in which node_flow accumulates, so
-  // it stays even though the DP no longer needs an order.
+  // Visit the reachable nodes in sweep order; each node's flow splits evenly
+  // over its tight out-arcs. CSR sweep: u's out-arc span is streamed in
+  // ascending slot order (same float accumulation order, bit-identical
+  // loads). A node whose row range is empty gets its tight slots tested and
+  // marked first; a non-empty range is exact by the row invariant.
   const GraphCsr& csr = g.csr();
   std::uint64_t* const row = tight_row.data();
+  std::uint64_t retested = 0;
   for (NodeId u : order) {
     const double flow = node_flow[u];
     if (flow <= 0.0) continue;
     const std::uint32_t begin = csr.out_offset[u];
     const std::uint32_t end = csr.out_offset[u + 1];
-    int tight_count = 0;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const ArcId a = csr.out_arc[k];
-      if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist)) {
-        set_bit(row, k);
-        ++tight_count;
+    int tight_count = count_bits(row, begin, end);
+    if (tight_count == 0) {
+      ++retested;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const ArcId a = csr.out_arc[k];
+        if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist)) {
+          set_bit(row, k);
+          ++tight_count;
+        }
       }
     }
     if (tight_count == 0) {
@@ -203,6 +286,7 @@ void ClassRouting::sweep_destination_body(
     }
     node_flow[u] = 0.0;
   }
+  return retested;
 }
 
 void ClassRouting::record_contributions(const Graph& g, std::span<const double> arc_cost,
@@ -211,26 +295,32 @@ void ClassRouting::record_contributions(const Graph& g, std::span<const double> 
                                         std::span<const NodeId> skip_nodes,
                                         RoutingBaseRecord& record) const {
   const std::size_t n = g.num_nodes();
-  if (dist_.size() != n)
+  const std::size_t words = tight_words(g.num_arcs());
+  if (dist_.size() != n || tight_.size() != n * words)
     throw std::logic_error("record_contributions: routing not computed for this graph");
   record.reset(n);
 
   // The same sweep_destination_body every load path runs — here with null
   // load/disconnection accumulators (this routing already holds the correct
-  // totals), so only the record is written.
+  // totals), so only the record is written. No Dijkstra runs, so the order
+  // comes from the labels, and a copy of this routing's own DAG row (valid
+  // by the row invariant) spares the sweep most tight tests.
   std::vector<double> node_flow;
   std::vector<NodeId> order;
-  std::vector<std::uint64_t> row(tight_words(g.num_arcs()));
+  std::vector<std::uint64_t> row(words);
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) {
       record.disconnected.push_back(0);
       record.disconnected_volume.push_back(0.0);
     } else {
-      std::fill(row.begin(), row.end(), 0);
-      sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, &record,
-                             nullptr, nullptr, nullptr, node_flow, order, row);
+      sort_sweep_order(dist_[t], t, order);
+      record.order_node.insert(record.order_node.end(), order.begin(), order.end());
+      std::copy_n(tight_.begin() + static_cast<std::ptrdiff_t>(t * words), words, row.begin());
+      sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, order, &record,
+                             nullptr, nullptr, nullptr, node_flow, row);
     }
     record.contrib_offset.push_back(record.contrib_arc.size());
+    record.order_offset.push_back(record.order_node.size());
   }
 }
 
@@ -242,69 +332,11 @@ void ClassRouting::compute_from_base(const Graph& g, std::span<const double> arc
                                      ArcAliveMask alive_mask,
                                      double max_affected_fraction,
                                      FailureScratch& scratch) {
-  if (demands.num_nodes() != g.num_nodes())
-    throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
-  const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || base.tight_.size() != n * tight_words(g.num_arcs()) ||
-      record.contrib_offset.size() != n + 1)
-    throw std::invalid_argument("compute_from_base: base/record don't match this graph");
-
-  arc_load_.assign(g.num_arcs(), 0.0);
-  dist_.resize(n);
-  // Replayed destinations keep the base's DAG, so they keep its tight bits;
-  // re-swept ones overwrite their row.
-  tight_ = base.tight_;
-  disconnected_ = 0;
-  disconnected_volume_ = 0.0;
-
-  const std::size_t cap =
-      max_affected_fraction >= 1.0
-          ? n
-          : static_cast<std::size_t>(std::max(0.0, max_affected_fraction) *
-                                     static_cast<double>(n));
-
-  for (NodeId t = 0; t < n; ++t) {
-    dist_[t] = base.dist_[t];
-    const std::ptrdiff_t touched = delta_spf_remove_arcs(
-        g, arc_cost, alive_mask, removed_arcs, dist_[t], cap, scratch.spf_);
-    bool affected = touched != 0;
-    if (touched < 0) {
-      // Delta would touch too much of this destination: full Dijkstra is
-      // cheaper than the delta bookkeeping (dist_[t] is still the untouched
-      // base copy here).
-      shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t]);
-      ++scratch.stats_.dests_full_fallback;
-    } else if (touched > 0) {
-      ++scratch.stats_.dests_delta;
-      scratch.stats_.affected_nodes += static_cast<std::uint64_t>(touched);
-      scratch.stats_.boundary_seeds += scratch.spf_.last_boundary_seeds();
-      scratch.stats_.observe_affected(static_cast<std::uint64_t>(touched));
-    }
-    if (!affected) {
-      // Distances survived, but a removed arc that was tight (by the sweep's
-      // epsilon predicate) still changes the ECMP splits at its source.
-      const GraphCsr& csr = g.csr();
-      for (ArcId a : removed_arcs) {
-        if (arc_is_tight(csr.src[a], csr.dst[a], arc_cost[a], dist_[t])) {
-          affected = true;
-          break;
-        }
-      }
-    }
-    if (affected) {
-      sweep_destination(g, arc_cost, demands, alive_mask, {}, t, nullptr);
-      ++scratch.stats_.dests_resweep;
-    } else {
-      // Untouched DAG: replay the base contributions. Every accumulator
-      // receives the same float terms in the same destination order as a
-      // full recompute, so the patched state is bitwise identical.
-      for (std::size_t i = record.contrib_offset[t]; i < record.contrib_offset[t + 1]; ++i)
-        arc_load_[record.contrib_arc[i]] += record.contrib_val[i];
-      disconnected_ += record.disconnected[t];
-      disconnected_volume_ += record.disconnected_volume[t];
-      ++scratch.stats_.dests_replayed;
-    }
-  }
+  // A removal is a change to +infinity whose old cost is the arc's cost.
+  scratch.changes_.clear();
+  for (ArcId a : removed_arcs) scratch.changes_.push_back({a, arc_cost[a]});
+  patch_from_base(g, arc_cost, demands, base, record, alive_mask, scratch.changes_,
+                  max_affected_fraction, scratch);
 }
 
 void ClassRouting::compute_from_weight_delta(const Graph& g,
@@ -315,61 +347,103 @@ void ClassRouting::compute_from_weight_delta(const Graph& g,
                                              std::span<const ArcCostDelta> changes,
                                              double max_affected_fraction,
                                              FailureScratch& scratch) {
+  patch_from_base(g, arc_cost, demands, base, record, {}, changes, max_affected_fraction,
+                  scratch);
+}
+
+void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_cost,
+                                   const TrafficMatrix& demands, const ClassRouting& base,
+                                   const RoutingBaseRecord& record, ArcAliveMask alive_mask,
+                                   std::span<const ArcCostDelta> changes,
+                                   double max_affected_fraction, FailureScratch& scratch) {
   if (demands.num_nodes() != g.num_nodes())
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
-  if (base.dist_.size() != n || base.tight_.size() != n * tight_words(g.num_arcs()) ||
-      record.contrib_offset.size() != n + 1)
-    throw std::invalid_argument(
-        "compute_from_weight_delta: base/record don't match this graph");
+  const std::size_t words = tight_words(g.num_arcs());
+  if (base.dist_.size() != n || base.tight_.size() != n * words ||
+      record.contrib_offset.size() != n + 1 || record.order_offset.size() != n + 1)
+    throw std::invalid_argument("ClassRouting: base/record don't match this graph");
 
   arc_load_.assign(g.num_arcs(), 0.0);
   dist_.resize(n);
+  // Every destination starts from the base's DAG: replayed destinations keep
+  // it whole, re-swept ones clear the ranges of their dirty nodes.
   tight_ = base.tight_;
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
+  scratch.relabelled_.resize(n, 0);
 
   const std::size_t cap =
       max_affected_fraction >= 1.0
           ? n
           : static_cast<std::size_t>(std::max(0.0, max_affected_fraction) *
                                      static_cast<double>(n));
+  const GraphCsr& csr = g.csr();
 
   for (NodeId t = 0; t < n; ++t) {
     dist_[t] = base.dist_[t];
-    const std::ptrdiff_t touched =
-        delta_spf_update_arcs(g, arc_cost, {}, changes, dist_[t], cap, scratch.spf_);
+    const std::vector<double>& dist = dist_[t];
+    std::uint64_t* const row = tight_.data() + t * words;
+    const auto clear_node = [&](NodeId u) {
+      clear_bits(row, csr.out_offset[u], csr.out_offset[u + 1]);
+    };
+    // A relabelled node's range is dirty, and so are its in-neighbours':
+    // their arcs into it may have changed tightness.
+    const auto relabel = [&](NodeId u) {
+      clear_node(u);
+      for (std::uint32_t k = csr.in_offset[u]; k < csr.in_offset[u + 1]; ++k)
+        clear_node(csr.in_tail[k]);
+    };
+    // Unchanged labels keep the base's order row.
+    std::span<const NodeId> order(record.order_node.data() + record.order_offset[t],
+                                  record.order_offset[t + 1] - record.order_offset[t]);
+
+    const std::ptrdiff_t touched = delta_spf_update_arcs(g, arc_cost, alive_mask, changes,
+                                                         dist_[t], cap, scratch.spf_);
     bool affected = touched != 0;
     if (touched < 0) {
       // Delta would touch too much of this destination: full Dijkstra is
       // cheaper than the delta bookkeeping (dist_[t] is still the untouched
-      // base copy here).
-      shortest_distances_to(g, t, arc_cost, {}, dist_[t]);
+      // base copy here). The relabelled nodes are the labels that moved.
+      shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &order_);
+      settle_to_sweep_order(order_);
+      order = order_;
+      const std::vector<double>& old_dist = base.dist_[t];
+      for (NodeId u = 0; u < n; ++u)
+        if (dist[u] != old_dist[u]) relabel(u);
       ++scratch.stats_.dests_full_fallback;
     } else if (touched > 0) {
       ++scratch.stats_.dests_delta;
       scratch.stats_.affected_nodes += static_cast<std::uint64_t>(touched);
       scratch.stats_.boundary_seeds += scratch.spf_.last_boundary_seeds();
       scratch.stats_.observe_affected(static_cast<std::uint64_t>(touched));
+      const std::span<const NodeId> relabelled = scratch.spf_.last_affected();
+      for (NodeId u : relabelled) relabel(u);
+      merge_relabelled(order, relabelled, dist, t, scratch.relabelled_, scratch.moved_, order_);
+      order = order_;
     }
     if (!affected) {
       // Labels survived, but a changed arc that is tight (by the sweep's
       // epsilon predicate) under EITHER cost vector still churns the ECMP
       // splits at its source: tight under the old cost means the base's DAG
-      // used it, tight under the new cost means ours does.
-      const GraphCsr& csr = g.csr();
+      // used it, tight under the new cost means ours does. A removed arc
+      // carries its own cost as the old one.
       for (const ArcCostDelta& c : changes) {
         const NodeId src = csr.src[c.arc];
         const NodeId dst = csr.dst[c.arc];
-        if (arc_is_tight(src, dst, c.old_cost, dist_[t]) ||
-            arc_is_tight(src, dst, arc_cost[c.arc], dist_[t])) {
+        if (arc_is_tight(src, dst, c.old_cost, dist) ||
+            arc_is_tight(src, dst, arc_cost[c.arc], dist)) {
           affected = true;
           break;
         }
       }
     }
     if (affected) {
-      sweep_destination(g, arc_cost, demands, {}, {}, t, nullptr);
+      // A changed arc's tail may gain or lose a tight arc even where no
+      // label moved.
+      for (const ArcCostDelta& c : changes) clear_node(csr.src[c.arc]);
+      scratch.stats_.nodes_retested +=
+          sweep_destination(g, arc_cost, demands, alive_mask, {}, t, order, nullptr);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base contributions. Every accumulator
@@ -405,8 +479,9 @@ void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> a
     if (labels[t].size() != n)
       throw std::invalid_argument("compute_with_labels: label column size mismatch");
     dist_[t] = labels[t];
-    if (!is_skipped(skip_nodes, t))
-      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, nullptr);
+    if (is_skipped(skip_nodes, t)) continue;
+    sort_sweep_order(dist_[t], t, order_);
+    sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, order_, nullptr);
   }
 }
 

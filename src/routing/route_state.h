@@ -37,6 +37,13 @@ struct RoutingBaseRecord {
   /// Per-destination disconnected-demand subtotals.
   std::vector<std::uint32_t> disconnected;
   std::vector<double> disconnected_volume;
+  /// CSR over destinations: destination t's sweep order (ClassRouting's
+  /// order rule over the recorded labels; every node but t with a finite
+  /// label) is [order_offset[t], order_offset[t+1]) in order_node. The patch
+  /// paths reuse it, or merge the relabelled nodes into it, instead of
+  /// re-deriving the order. Empty for a skipped destination.
+  std::vector<std::size_t> order_offset;
+  std::vector<NodeId> order_node;
 
   void reset(std::size_t num_nodes);
 };
@@ -59,6 +66,7 @@ struct PatchStats {
   std::uint64_t dests_full_fallback = 0;  ///< delta overflow -> full Dijkstra
   std::uint64_t dests_resweep = 0;        ///< affected DAG -> load re-sweep
   std::uint64_t dests_replayed = 0;       ///< untouched DAG -> record replay
+  std::uint64_t nodes_retested = 0;       ///< re-swept nodes whose tight arcs were tested
   std::uint64_t affected_nodes = 0;       ///< total delta-recomputed labels
   std::uint64_t boundary_seeds = 0;       ///< total phase-2 Dijkstra seeds
   std::uint64_t delay_cols_recomputed = 0;  ///< delay DP columns run
@@ -73,9 +81,9 @@ struct PatchStats {
 };
 
 /// Reusable per-worker scratch for ClassRouting::compute_from_base and
-/// compute_from_weight_delta (delta-SPF buffers plus the patch counters). One
-/// instance per worker thread, reused across scenario evaluations to keep the
-/// incremental hot path allocation-free.
+/// compute_from_weight_delta (delta-SPF and order-merge buffers plus the
+/// patch counters). One instance per worker thread, reused across scenario
+/// evaluations to keep the incremental hot path allocation-free.
 class FailureScratch {
  public:
   FailureScratch() = default;
@@ -90,6 +98,9 @@ class FailureScratch {
   friend class ClassRouting;
   DeltaSpfScratch spf_;
   PatchStats stats_;
+  std::vector<ArcCostDelta> changes_;  ///< compute_from_base's removals as changes
+  std::vector<std::uint8_t> relabelled_;  ///< per-node flag, all zero between calls
+  std::vector<NodeId> moved_;             ///< relabelled nodes in sweep order
 };
 
 /// Routing state of ONE traffic class under a given arc-cost vector and arc
@@ -99,6 +110,14 @@ class FailureScratch {
 /// Load aggregation is the standard Fortz–Thorup sweep: per destination,
 /// process nodes in decreasing distance order and split each node's
 /// accumulated flow evenly across its tight out-arcs.
+///
+/// Order rule: the sweep visits nodes in decreasing distance and breaks ties
+/// by decreasing node id — exactly the reverse of the settle order
+/// shortest_distances_to reports. The order fixes the order in which a
+/// node's inflow sums, so every load path uses this one total order: compute
+/// takes it from its Dijkstra, the patch paths take it from the base's record
+/// (merging in the relabelled nodes), and only record_contributions and
+/// compute_with_labels, which run no Dijkstra, sort.
 class ClassRouting {
  public:
   /// `skip_nodes`: demands sourced or sunk at any of these nodes are ignored
@@ -124,7 +143,8 @@ class ClassRouting {
 
   /// Re-derives the RoutingBaseRecord that compute(..., record) would have
   /// produced, from this routing's EXISTING distance labels — the demand
-  /// seeding and ECMP share arithmetic re-run over dist_, but no Dijkstra.
+  /// seeding and ECMP share arithmetic re-run over dist_, but no Dijkstra,
+  /// so the order rows are sorted from the labels by the order rule.
   /// The appended values are bitwise identical to an eagerly recorded
   /// base's (same labels, same float ops, same order; test-enforced via the
   /// incremental byte-identity suites). Used by the evaluator's lazy
@@ -217,15 +237,26 @@ class ClassRouting {
                          std::vector<double>& out) const;
 
  private:
+  /// The body of compute_from_base and compute_from_weight_delta: `changes`
+  /// lists every arc whose cost or liveness differs from `base` (a removed
+  /// arc carries its unchanged cost as old_cost), `alive_mask` is the new
+  /// mask.
+  void patch_from_base(const Graph& g, std::span<const double> arc_cost,
+                       const TrafficMatrix& demands, const ClassRouting& base,
+                       const RoutingBaseRecord& record, ArcAliveMask alive_mask,
+                       std::span<const ArcCostDelta> changes,
+                       double max_affected_fraction, FailureScratch& scratch);
+
   /// Seeds the demands toward `t` (counting its disconnected demand as a
-  /// per-destination subtotal) and runs the decreasing-distance ECMP load
-  /// sweep over dist_[t]. Appends the destination's slices to `record` when
-  /// given. Shared by the full and incremental paths so their per-destination
-  /// float operations are literally the same code.
-  void sweep_destination(const Graph& g, std::span<const double> arc_cost,
-                         const TrafficMatrix& demands, ArcAliveMask alive_mask,
-                         std::span<const NodeId> skip_nodes, NodeId t,
-                         RoutingBaseRecord* record);
+  /// per-destination subtotal) and runs the ECMP load sweep over dist_[t] in
+  /// `order`, with tight_'s row t as the DAG. Appends the destination's
+  /// slices to `record` when given. Shared by the full and incremental paths
+  /// so their per-destination float operations are literally the same code.
+  /// Returns the number of nodes whose tight out-arcs it tested.
+  std::uint64_t sweep_destination(const Graph& g, std::span<const double> arc_cost,
+                                  const TrafficMatrix& demands, ArcAliveMask alive_mask,
+                                  std::span<const NodeId> skip_nodes, NodeId t,
+                                  std::span<const NodeId> order, RoutingBaseRecord* record);
 
   /// The one per-destination seed + ECMP share sweep every load path runs:
   /// `arc_load` / `disconnected` / `disconnected_volume` receive the results
@@ -233,28 +264,39 @@ class ClassRouting {
   /// `record` receives the replay slices (eager recording and the lazy
   /// record_contributions, which passes null accumulators). One body means
   /// one set of float ops — the recorded shares cannot drift from the
-  /// applied ones. `tight_row` (zeroed by the caller) receives the tight
-  /// out-arc slots of every node that carries flow toward `t`.
-  void sweep_destination_body(const Graph& g, std::span<const double> arc_cost,
-                              const TrafficMatrix& demands, ArcAliveMask alive_mask,
-                              std::span<const NodeId> skip_nodes, NodeId t,
-                              RoutingBaseRecord* record, std::vector<double>* arc_load,
-                              std::size_t* disconnected, double* disconnected_volume,
-                              std::vector<double>& node_flow, std::vector<NodeId>& order,
-                              std::span<std::uint64_t> tight_row) const;
+  /// applied ones. `order` is the destination's sweep order (the order rule
+  /// above). `tight_row` must satisfy tight_'s row invariant; the sweep
+  /// tests the out-arcs of each flow-carrying node whose row is empty, fills
+  /// the row in, and returns how many nodes it tested.
+  std::uint64_t sweep_destination_body(const Graph& g, std::span<const double> arc_cost,
+                                       const TrafficMatrix& demands,
+                                       ArcAliveMask alive_mask,
+                                       std::span<const NodeId> skip_nodes, NodeId t,
+                                       std::span<const NodeId> order,
+                                       RoutingBaseRecord* record,
+                                       std::vector<double>* arc_load,
+                                       std::size_t* disconnected,
+                                       double* disconnected_volume,
+                                       std::vector<double>& node_flow,
+                                       std::span<std::uint64_t> tight_row) const;
 
   std::vector<double> arc_load_;
   std::vector<std::vector<double>> dist_;
-  /// The ECMP DAG per destination: row t (ceil(|A|/64) words) has bit k set
-  /// iff CSR out-arc slot k is tight toward t and its tail carries flow.
-  /// Written by the load sweep; destinations replayed from a base copy the
-  /// base's row (their DAG is unchanged). Read by end_to_end_delays.
+  /// The ECMP DAG per destination: row t (ceil(|A|/64) words) holds one bit
+  /// per CSR out-arc slot. Row invariant: a node's slot range is either
+  /// empty or holds exactly its alive out-arcs that are tight toward t. A
+  /// node carrying flow always ends the sweep with a non-empty range; a node
+  /// without flow may have either. The patch paths start from the base's
+  /// rows and clear only the ranges of dirty nodes — relabelled nodes, their
+  /// in-neighbours and the tails of changed arcs — so every other range is
+  /// kept without a retest. Read by end_to_end_delays, which tests an empty
+  /// range on demand under the same rule.
   std::vector<std::uint64_t> tight_;
   std::size_t disconnected_ = 0;
   double disconnected_volume_ = 0.0;
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;
-  std::vector<NodeId> order_;
+  std::vector<NodeId> order_;  ///< one destination's sweep order
 };
 
 /// Tight-arc test: arc a lies on a shortest path toward t (distance labels

@@ -24,6 +24,10 @@
 ///      compute_from_weight_delta and compute_with_labels, both delay modes,
 ///      dense and sparse demand. Layers 2-4 cannot see a DP bug: the fast
 ///      and the full evaluator run the same DP.
+/// Layers 2-5 draw weights up to wmax 2 or 20. Weights in {1, 2} make
+/// equal-distance ties common, and ties are where the sweep's order rule
+/// decides the bytes: the patch paths' order merge, same-label order reuse
+/// and full-Dijkstra fallback then run under the oracle.
 ///
 /// Usage: differential_fuzz [--seed N] [--budget-seconds S]
 /// Exit code 0 = no divergence inside the budget; 1 = divergence (a repro
@@ -139,6 +143,9 @@ void fuzz_delta_spf(Rng& rng) {
   }
 }
 
+/// Weight range of one layer-2..5 instance: 2 (tie-heavy) or 20.
+int draw_wmax(Rng& rng) { return rng.uniform_int(0, 1) == 0 ? 2 : 20; }
+
 /// Layers 2+3: full evaluation stack — scenarios and weight-delta donors.
 void fuzz_evaluator(Rng& rng) {
   experiments::WorkloadSpec spec;
@@ -155,8 +162,10 @@ void fuzz_evaluator(Rng& rng) {
   const Evaluator fast(w.graph, w.traffic, w.params, fast_cfg);
   const Evaluator full(w.graph, w.traffic, w.params, full_cfg);
 
+  const int wmax = draw_wmax(rng);
+  const std::string shape = " (wmax " + std::to_string(wmax) + ")";
   WeightSetting incumbent(w.graph.num_links());
-  randomize_weights(incumbent, 20, rng);
+  randomize_weights(incumbent, wmax, rng);
 
   // Scenario soup: the none case, random links, a pair, a links-only
   // compound, and a node failure (always full path — both sides must agree
@@ -189,7 +198,7 @@ void fuzz_evaluator(Rng& rng) {
       const LinkId l = static_cast<LinkId>(rng.uniform_int(0, num_links - 1));
       const TrafficClass cls =
           rng.uniform_int(0, 1) == 0 ? TrafficClass::kDelay : TrafficClass::kThroughput;
-      probe.set(cls, l, rng.uniform_int(1, 20));
+      probe.set(cls, l, rng.uniform_int(1, wmax));
     }
     settings.push_back(probe);
   }
@@ -201,7 +210,7 @@ void fuzz_evaluator(Rng& rng) {
       if (!results_identical(a, b))
         report_divergence("evaluate", "setting " + std::to_string(s) + " scenario " +
                                           std::to_string(i) + " (" +
-                                          to_string(scenarios[i]) + ")");
+                                          to_string(scenarios[i]) + ")" + shape);
     }
   }
 
@@ -223,7 +232,7 @@ void fuzz_evaluator(Rng& rng) {
         !bytes_equal(shared[r].std_violations, reference[r].std_violations) ||
         !bytes_equal(shared[r].mean_phi, reference[r].mean_phi) ||
         !bytes_equal(shared[r].std_phi, reference[r].std_phi))
-      report_divergence("evaluate_fluctuations", "routing " + std::to_string(r));
+      report_divergence("evaluate_fluctuations", "routing " + std::to_string(r) + shape);
   }
 }
 
@@ -241,16 +250,18 @@ void fuzz_pinned_search(Rng& rng) {
   const int num_links = static_cast<int>(g.num_links());
   const Evaluator fast(g, w.traffic, w.params);
   const Evaluator full(g, w.traffic, w.params, {.incremental = false});
+  const int wmax = draw_wmax(rng);
+  const std::string shape = ", wmax " + std::to_string(wmax) + ")";
 
   const auto check = [&](const WeightSetting& x, const FailureScenario& scenario,
                          const char* step) {
     if (!results_identical(fast.evaluate(x, scenario, EvalDetail::kFull),
                            full.evaluate(x, scenario, EvalDetail::kFull)))
-      report_divergence("pinned search", std::string(step) + " (" + to_string(scenario) + ")");
+      report_divergence("pinned search", std::string(step) + " (" + to_string(scenario) + shape);
   };
   const auto random_setting = [&] {
     WeightSetting x(g.num_links());
-    randomize_weights(x, 20, rng);
+    randomize_weights(x, wmax, rng);
     return x;
   };
   const auto adopt = [&](const WeightSetting& x) {
@@ -287,8 +298,8 @@ void fuzz_pinned_search(Rng& rng) {
     } else {  // single-link probe of the current setting, sometimes accepted
       WeightSetting probe = current;
       const LinkId l = static_cast<LinkId>(rng.uniform_int(0, num_links - 1));
-      probe.set(TrafficClass::kDelay, l, rng.uniform_int(1, 20));
-      probe.set(TrafficClass::kThroughput, l, rng.uniform_int(1, 20));
+      probe.set(TrafficClass::kDelay, l, rng.uniform_int(1, wmax));
+      probe.set(TrafficClass::kThroughput, l, rng.uniform_int(1, wmax));
       const FailureScenario scenario =
           rng.uniform_int(0, 3) == 0
               ? FailureScenario::link(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)))
@@ -315,7 +326,7 @@ void fuzz_delay_dp(Rng& rng) {
     for (NodeId t = 0; t < n; ++t)
       if (s != t && (!sparse || rng.uniform_int(0, 9) == 0))
         demands.set(s, t, rng.uniform(0.1, 10.0));
-  const int wmax = rng.uniform_int(0, 1) == 0 ? 2 : 20;
+  const int wmax = draw_wmax(rng);
   const std::string shape =
       (sparse ? " (sparse, wmax " : " (dense, wmax ") + std::to_string(wmax) + ")";
   for (const std::string& bad : test::delay_dp_mismatches(g, demands, wmax, rng, g_dp_checks))

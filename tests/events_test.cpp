@@ -18,10 +18,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/optimizer.h"
+#include "cost/cost_types.h"
 #include "experiments/campaign.h"
 #include "telemetry/events.h"
 #include "telemetry/exposer.h"
@@ -277,8 +277,9 @@ TEST(OptimizerEventsTest, TraceCostsImproveBetweenRestarts) {
     }
     ++phase2_accepts;
     if (have_incumbent) {
-      EXPECT_LE(std::tie(tm.move.cost.lambda, tm.move.cost.phi),
-                std::tie(incumbent.lambda, incumbent.phi))
+      // The search's own acceptance rule: lambda equal within tolerance
+      // falls through to phi, so an exact tuple compare is the wrong oracle.
+      EXPECT_TRUE(LexicographicOrder().less(tm.move.cost, incumbent))
           << "accepted move did not improve the incumbent";
     }
     incumbent = tm.move.cost;

@@ -2,7 +2,8 @@
 /// pure execution knob. These tests enforce the PR's acceptance contract —
 /// bit-identical FailureProfile / EvalResult bytes between the delta-SPF
 /// fast path and the full recompute, across randomized topologies, weight
-/// settings, every single-link failure, and 1 vs 8 worker threads.
+/// settings (random and the tie-heavy min-hop setting), every single-link
+/// failure, and 1 vs 8 worker threads.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,10 @@ using test::expect_results_identical;
 using test::make_test_instance;
 using test::random_weights;
 using test::TestInstance;
+
+/// The min-hop setting (every weight 1): the most equal-distance ties a
+/// topology admits, so the sweep's tie order carries the most weight here.
+WeightSetting min_hop(const Graph& g) { return WeightSetting(g.num_links(), 1); }
 
 /// Bitwise comparison: double == would accept -0.0 vs 0.0 and miss NaN, so
 /// the profile vectors are compared as raw bytes.
@@ -55,8 +60,9 @@ TEST(IncrementalTest, FailureProfileBytesMatchFullPathAcrossInstances) {
 
     ThreadPool one(1);
     ThreadPool eight(8);
-    for (const std::uint64_t wseed : {c.seed + 1, c.seed + 2}) {
-      const WeightSetting w = random_weights(inst.graph, 30, wseed);
+    for (const WeightSetting& w : {random_weights(inst.graph, 30, c.seed + 1),
+                                   random_weights(inst.graph, 30, c.seed + 2),
+                                   min_hop(inst.graph)}) {
       const FailureProfile reference = profile_failures(full, w, scenarios, &one);
       expect_profile_bytes_identical(reference,
                                      profile_failures(incremental, w, scenarios, &one));
@@ -80,12 +86,12 @@ TEST(IncrementalTest, FullDetailMatchesOnBridgeTopology) {
   const Evaluator incremental(g, traffic, {}, {.incremental = true});
   const Evaluator full(g, traffic, {}, {.incremental = false});
   const std::vector<FailureScenario> scenarios = all_link_failures(g);
-  const WeightSetting w = random_weights(g, 20, 5);
-
-  const auto inc = incremental.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
-  const auto ref = full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
-  ASSERT_EQ(inc.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(inc[i], ref[i]);
+  for (const WeightSetting& w : {random_weights(g, 20, 5), min_hop(g)}) {
+    const auto inc = incremental.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
+    const auto ref = full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
+    ASSERT_EQ(inc.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(inc[i], ref[i]);
+  }
 }
 
 TEST(IncrementalTest, MixedScenarioKindsMatchFullPath) {
@@ -105,12 +111,13 @@ TEST(IncrementalTest, MixedScenarioKindsMatchFullPath) {
   for (LinkId l = 0; l + 4 < inst.graph.num_links(); l += 5)
     scenarios.push_back(FailureScenario::link_pair(l, l + 4));
 
-  const WeightSetting w = random_weights(inst.graph, 25, 99);
   ThreadPool eight(8);
-  const auto inc = incremental.evaluate_failures(w, scenarios, &eight, EvalDetail::kFull);
-  const auto ref = full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
-  ASSERT_EQ(inc.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(inc[i], ref[i]);
+  for (const WeightSetting& w : {random_weights(inst.graph, 25, 99), min_hop(inst.graph)}) {
+    const auto inc = incremental.evaluate_failures(w, scenarios, &eight, EvalDetail::kFull);
+    const auto ref = full.evaluate_failures(w, scenarios, nullptr, EvalDetail::kFull);
+    ASSERT_EQ(inc.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) expect_results_identical(inc[i], ref[i]);
+  }
 }
 
 TEST(IncrementalTest, SweepMatchesFullPathIncludingEarlyAbort) {
@@ -119,25 +126,26 @@ TEST(IncrementalTest, SweepMatchesFullPathIncludingEarlyAbort) {
                               {.incremental = true});
   const Evaluator full(inst.graph, inst.traffic, inst.params, {.incremental = false});
   const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
-  const WeightSetting w = random_weights(inst.graph, 30, 23);
-
   ThreadPool eight(8);
-  const SweepResult ref = full.sweep(w, scenarios);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &eight}) {
-    const SweepResult inc = incremental.sweep(w, scenarios, {.pool = pool});
-    EXPECT_EQ(ref.lambda, inc.lambda);
-    EXPECT_EQ(ref.phi, inc.phi);
-    EXPECT_EQ(ref.scenarios_evaluated, inc.scenarios_evaluated);
-  }
 
-  const CostPair bound{ref.lambda / 2.0, ref.phi / 2.0};
-  const SweepResult ref_aborted = full.sweep(w, scenarios, {.abort_bound = &bound});
-  const SweepResult inc_aborted =
-      incremental.sweep(w, scenarios, {.abort_bound = &bound, .pool = &eight});
-  EXPECT_EQ(ref_aborted.aborted, inc_aborted.aborted);
-  EXPECT_EQ(ref_aborted.lambda, inc_aborted.lambda);
-  EXPECT_EQ(ref_aborted.phi, inc_aborted.phi);
-  EXPECT_EQ(ref_aborted.scenarios_evaluated, inc_aborted.scenarios_evaluated);
+  for (const WeightSetting& w : {random_weights(inst.graph, 30, 23), min_hop(inst.graph)}) {
+    const SweepResult ref = full.sweep(w, scenarios);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &eight}) {
+      const SweepResult inc = incremental.sweep(w, scenarios, {.pool = pool});
+      EXPECT_EQ(ref.lambda, inc.lambda);
+      EXPECT_EQ(ref.phi, inc.phi);
+      EXPECT_EQ(ref.scenarios_evaluated, inc.scenarios_evaluated);
+    }
+
+    const CostPair bound{ref.lambda / 2.0, ref.phi / 2.0};
+    const SweepResult ref_aborted = full.sweep(w, scenarios, {.abort_bound = &bound});
+    const SweepResult inc_aborted =
+        incremental.sweep(w, scenarios, {.abort_bound = &bound, .pool = &eight});
+    EXPECT_EQ(ref_aborted.aborted, inc_aborted.aborted);
+    EXPECT_EQ(ref_aborted.lambda, inc_aborted.lambda);
+    EXPECT_EQ(ref_aborted.phi, inc_aborted.phi);
+    EXPECT_EQ(ref_aborted.scenarios_evaluated, inc_aborted.scenarios_evaluated);
+  }
 }
 
 TEST(IncrementalTest, ConfigDefaultsToIncremental) {
@@ -158,35 +166,37 @@ TEST(IncrementalTest, WeightDeltaDonorBaseMatchesScratchBuild) {
   // every single link, a compound scenario, kFull detail — must be identical
   // field for field.
   const TestInstance inst = make_test_instance(12, 4.0, 57);
-  const Evaluator with_donor(inst.graph, inst.traffic, inst.params, {});
   const Evaluator reference(inst.graph, inst.traffic, inst.params, {.incremental = false});
-  const WeightSetting incumbent = random_weights(inst.graph, 20, 91);
 
   std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
   scenarios.insert(scenarios.begin(), FailureScenario::none());
   scenarios.push_back(FailureScenario::compound({0, 2, 3}));
 
-  for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
-    // A hit on the incumbent keeps it the most recently used entry, so it
-    // stays resident (and the donor) across more probes than the cache holds.
-    (void)with_donor.evaluate(incumbent);
-    WeightSetting probe = incumbent;
-    // Increases and decreases both ride the donor patch; odd links change
-    // both classes (still ONE differing link).
-    const int wd = probe.get(TrafficClass::kDelay, l);
-    probe.set(TrafficClass::kDelay, l, wd >= 16 ? 1 : wd + 5);
-    if (l % 2 == 1) {
-      const int wt = probe.get(TrafficClass::kThroughput, l);
-      probe.set(TrafficClass::kThroughput, l, wt >= 18 ? 2 : wt + 3);
+  for (const WeightSetting& incumbent :
+       {random_weights(inst.graph, 20, 91), min_hop(inst.graph)}) {
+    const Evaluator with_donor(inst.graph, inst.traffic, inst.params, {});
+    for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
+      // A hit on the incumbent keeps it the most recently used entry, so it
+      // stays resident (and the donor) across more probes than the cache holds.
+      (void)with_donor.evaluate(incumbent);
+      WeightSetting probe = incumbent;
+      // Increases and decreases both ride the donor patch; odd links change
+      // both classes (still ONE differing link).
+      const int wd = probe.get(TrafficClass::kDelay, l);
+      probe.set(TrafficClass::kDelay, l, wd >= 16 ? 1 : wd + 5);
+      if (l % 2 == 1) {
+        const int wt = probe.get(TrafficClass::kThroughput, l);
+        probe.set(TrafficClass::kThroughput, l, wt >= 18 ? 2 : wt + 3);
+      }
+      for (const FailureScenario& sc : scenarios) {
+        expect_results_identical(with_donor.evaluate(probe, sc, EvalDetail::kFull),
+                                 reference.evaluate(probe, sc, EvalDetail::kFull));
+      }
     }
-    for (const FailureScenario& sc : scenarios) {
-      expect_results_identical(with_donor.evaluate(probe, sc, EvalDetail::kFull),
-                               reference.evaluate(probe, sc, EvalDetail::kFull));
-    }
+    const EvaluatorCacheStats donor_stats = with_donor.base_cache_stats();
+    EXPECT_EQ(donor_stats.weight_patched, inst.graph.num_links());
+    EXPECT_GT(donor_stats.arcs_updated, 0u);
   }
-  const EvaluatorCacheStats donor_stats = with_donor.base_cache_stats();
-  EXPECT_EQ(donor_stats.weight_patched, inst.graph.num_links());
-  EXPECT_GT(donor_stats.arcs_updated, 0u);
 }
 
 TEST(IncrementalTest, ConfigCornersProduceIdenticalProfiles) {
@@ -194,20 +204,20 @@ TEST(IncrementalTest, ConfigCornersProduceIdenticalProfiles) {
   // FailureProfile bytes — the campaign/golden contract.
   const TestInstance inst = make_test_instance(14, 4.0, 83);
   const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
-  const WeightSetting w = random_weights(inst.graph, 30, 97);
-
   const Evaluator reference_ev(inst.graph, inst.traffic, inst.params,
                                {.incremental = false});
   ThreadPool one(1);
   ThreadPool eight(8);
-  const FailureProfile reference = profile_failures(reference_ev, w, scenarios, &one);
 
-  for (const bool incremental : {false, true}) {
-    const Evaluator ev(inst.graph, inst.traffic, inst.params, {.incremental = incremental});
-    expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &one));
-    expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
-    // Repeat through the now-warm cache: same bytes again.
-    expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
+  for (const WeightSetting& w : {random_weights(inst.graph, 30, 97), min_hop(inst.graph)}) {
+    const FailureProfile reference = profile_failures(reference_ev, w, scenarios, &one);
+    for (const bool incremental : {false, true}) {
+      const Evaluator ev(inst.graph, inst.traffic, inst.params, {.incremental = incremental});
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &one));
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
+      // Repeat through the now-warm cache: same bytes again.
+      expect_profile_bytes_identical(reference, profile_failures(ev, w, scenarios, &eight));
+    }
   }
 }
 
@@ -218,17 +228,18 @@ TEST(IncrementalTest, SingleEvaluationMatchesAcrossCacheStates) {
   const TestInstance inst = make_test_instance(12, 4.0, 101);
   const Evaluator cached(inst.graph, inst.traffic, inst.params, {});
   const Evaluator plain(inst.graph, inst.traffic, inst.params, {.incremental = false});
-  const WeightSetting w = random_weights(inst.graph, 30, 103);
 
-  // Warm the cache with the no-failure evaluation, then compare every
-  // single-link failure and the no-failure evaluation itself.
-  expect_results_identical(cached.evaluate(w, FailureScenario::none(), EvalDetail::kFull),
-                           plain.evaluate(w, FailureScenario::none(), EvalDetail::kFull));
-  EXPECT_GE(cached.base_cache_size(), 1u);
-  for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
-    const FailureScenario scenario = FailureScenario::link(l);
-    expect_results_identical(cached.evaluate(w, scenario, EvalDetail::kFull),
-                             plain.evaluate(w, scenario, EvalDetail::kFull));
+  for (const WeightSetting& w : {random_weights(inst.graph, 30, 103), min_hop(inst.graph)}) {
+    // Warm the cache with the no-failure evaluation, then compare every
+    // single-link failure and the no-failure evaluation itself.
+    expect_results_identical(cached.evaluate(w, FailureScenario::none(), EvalDetail::kFull),
+                             plain.evaluate(w, FailureScenario::none(), EvalDetail::kFull));
+    EXPECT_GE(cached.base_cache_size(), 1u);
+    for (LinkId l = 0; l < inst.graph.num_links(); ++l) {
+      const FailureScenario scenario = FailureScenario::link(l);
+      expect_results_identical(cached.evaluate(w, scenario, EvalDetail::kFull),
+                               plain.evaluate(w, scenario, EvalDetail::kFull));
+    }
   }
   EXPECT_GT(cached.base_cache_stats().hits, 0u);
 }

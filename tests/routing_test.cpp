@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -7,6 +8,7 @@
 #include <span>
 #include <utility>
 
+#include "graph/spf.h"
 #include "graph/topology.h"
 #include "routing/failures.h"
 #include "routing/route_state.h"
@@ -209,6 +211,107 @@ TEST(ClassRoutingTest, AliveMaskReroutes) {
   const ClassRouting r(g, costs, tm, alive);
   EXPECT_DOUBLE_EQ(r.arc_load(2), 8.0);
   EXPECT_DOUBLE_EQ(r.arc_load(0), 0.0);
+}
+
+// ------------------------------------------------------------ sweep order rule
+
+/// The Fortz–Thorup push sweep written out plainly: per destination, sort
+/// the reachable nodes by decreasing distance, ties by decreasing node id
+/// (the documented order rule; `ids_descending = false` flips the tie break),
+/// and split each node's flow evenly over its tight out-arcs.
+std::vector<double> reference_push_sweep(const Graph& g, std::span<const double> costs,
+                                         const TrafficMatrix& tm, bool ids_descending) {
+  const std::size_t n = g.num_nodes();
+  std::vector<double> loads(g.num_arcs(), 0.0), dist, flow;
+  std::vector<NodeId> order;
+  for (NodeId t = 0; t < n; ++t) {
+    shortest_distances_to(g, t, costs, {}, dist);
+    flow.assign(n, 0.0);
+    order.clear();
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == t || dist[u] == kInfDist) continue;
+      order.push_back(u);
+      if (tm.at(u, t) > 0.0) flow[u] = tm.at(u, t);
+    }
+    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      if (dist[a] != dist[b]) return dist[a] > dist[b];
+      return ids_descending ? a > b : a < b;
+    });
+    for (NodeId u : order) {
+      if (flow[u] <= 0.0) continue;
+      std::vector<ArcId> tight;
+      for (ArcId a : g.out_arcs(u))
+        if (arc_is_tight(g.arc(a), costs[a], dist)) tight.push_back(a);
+      const double share = flow[u] / static_cast<double>(tight.size());
+      for (ArcId a : tight) {
+        loads[a] += share;
+        flow[g.arc(a).dst] += share;
+      }
+    }
+  }
+  return loads;
+}
+
+bool load_bytes_equal(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+TEST(SweepOrderTest, EqualDistanceNodesFeedTheirSuccessorInDecreasingIdOrder) {
+  // Nodes 2 and 3 are both 2 hops from t = 0 and both feed node 1. Node 1's
+  // inflow sums (1 + 1e16) + 1 == 1e16 when 3 goes first, but (1 + 1) + 1e16
+  // == 1e16 + 2 when 2 does: the tie order is visible in the bytes.
+  Graph g(4);
+  g.add_link(1, 0, 100.0, 1.0);  // arc 0: 1 -> 0
+  g.add_link(2, 1, 100.0, 1.0);  // arc 2: 2 -> 1
+  g.add_link(3, 1, 100.0, 1.0);  // arc 4: 3 -> 1
+  TrafficMatrix tm(4);
+  tm.set(1, 0, 1.0);
+  tm.set(2, 0, 1.0);
+  tm.set(3, 0, 1e16);
+  const std::vector<double> costs(g.num_arcs(), 1.0);
+
+  const std::vector<double> want = reference_push_sweep(g, costs, tm, true);
+  ASSERT_FALSE(load_bytes_equal(want, reference_push_sweep(g, costs, tm, false)));
+  EXPECT_EQ(want[0], 1e16);
+  const ClassRouting r(g, costs, tm, {});
+  EXPECT_TRUE(load_bytes_equal(r.arc_loads(), want));
+}
+
+TEST(SweepOrderTest, EveryLoadPathMatchesTheReferenceOnMinHopGraphs) {
+  // Unit costs on dense random graphs tie most distances. compute() takes its
+  // order from Dijkstra; compute_with_labels sorts; a weight delta back to
+  // unit costs merges the relabelled nodes into its donor's order row.
+  for (const std::uint64_t seed : {4ull, 8ull}) {
+    const Graph g = make_rand_topo({16, 5.0, 500.0, seed});
+    const TrafficMatrix tm = make_gravity_traffic(g, {3.0, 1.0, seed + 1});
+    const std::vector<double> costs(g.num_arcs(), 1.0);
+    const std::vector<double> want = reference_push_sweep(g, costs, tm, true);
+
+    EXPECT_TRUE(load_bytes_equal(ClassRouting(g, costs, tm, {}).arc_loads(), want));
+
+    std::vector<std::vector<double>> labels(g.num_nodes());
+    for (NodeId t = 0; t < g.num_nodes(); ++t)
+      shortest_distances_to(g, t, costs, {}, labels[t]);
+    ClassRouting with_labels;
+    with_labels.compute_with_labels(g, costs, tm, {}, labels);
+    EXPECT_TRUE(load_bytes_equal(with_labels.arc_loads(), want));
+
+    std::vector<double> donor_costs = costs;
+    std::vector<ArcCostDelta> changes;
+    for (ArcId a : g.link_arcs(0)) {
+      donor_costs[a] = 3.0;
+      changes.push_back({a, 3.0});
+    }
+    ClassRouting donor;
+    RoutingBaseRecord record;
+    donor.compute(g, donor_costs, tm, {}, {}, &record);
+    FailureScratch scratch;
+    ClassRouting patched;
+    patched.compute_from_weight_delta(g, costs, tm, donor, record, changes, 1.0, scratch);
+    EXPECT_TRUE(load_bytes_equal(patched.arc_loads(), want));
+    EXPECT_GT(scratch.stats().dests_delta, 0u);
+  }
 }
 
 // ------------------------------------------------------------ incremental patching

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -142,11 +143,6 @@ TEST(SpfTest, PropagationDiameterDegenerate) {
   EXPECT_DOUBLE_EQ(propagation_diameter_ms(g), 0.0);
 }
 
-// ---------------------------------------------------------------------------
-// delta_spf_remove_arcs: the incremental update must reproduce a from-scratch
-// Dijkstra bit for bit, for every destination and every removed link.
-// ---------------------------------------------------------------------------
-
 std::vector<double> weight_costs(const Graph& g, int wmax, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> costs(g.num_arcs());
@@ -156,6 +152,74 @@ std::vector<double> weight_costs(const Graph& g, int wmax, std::uint64_t seed) {
   for (ArcId a = 0; a < g.num_arcs(); ++a) costs[a] = link_weight[g.arc(a).link];
   return costs;
 }
+
+TEST(SpfTest, SettleOrderAscendsByDistanceThenId) {
+  // Weights in {1, 2} (and all ones) on dense graphs: most distances tie.
+  // The settle output is the load sweep's visit order reversed, so it must
+  // be the (dist, id) order exactly, and asking for it must not move a label.
+  for (const std::uint64_t seed : {2ull, 7ull}) {
+    const Graph g = make_rand_topo({16, 5.0, 500.0, seed});
+    for (const std::vector<double>& costs : {unit_costs(g), weight_costs(g, 2, seed)}) {
+      std::vector<double> plain, dist;
+      std::vector<NodeId> settled;
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        shortest_distances_to(g, t, costs, {}, plain);
+        shortest_distances_to(g, t, costs, {}, dist, &settled);
+        ASSERT_EQ(std::memcmp(plain.data(), dist.data(), dist.size() * sizeof(double)), 0)
+            << "dest " << t;
+        ASSERT_EQ(settled.size(), g.num_nodes());
+        EXPECT_EQ(settled.front(), t);
+        for (std::size_t i = 1; i < settled.size(); ++i) {
+          const NodeId a = settled[i - 1], b = settled[i];
+          EXPECT_TRUE(dist[a] < dist[b] || (dist[a] == dist[b] && a < b))
+              << "dest " << t << " position " << i;
+        }
+      }
+    }
+  }
+  // Unreachable nodes are never settled.
+  Graph g(4);
+  g.add_link(0, 1, 100.0, 1.0);
+  g.add_link(2, 3, 100.0, 1.0);
+  std::vector<double> dist;
+  std::vector<NodeId> settled;
+  shortest_distances_to(g, 1, unit_costs(g), {}, dist, &settled);
+  EXPECT_EQ(settled, (std::vector<NodeId>{1, 0}));
+}
+
+TEST(DeltaSpfTest, LastAffectedNamesEveryRelabelledNode) {
+  const Graph g = make_rand_topo({14, 4.0, 500.0, 3});
+  const std::vector<double> costs = weight_costs(g, 2, 11);
+  DeltaSpfScratch scratch;
+  std::vector<double> base, delta;
+  std::vector<std::uint8_t> alive(g.num_arcs(), 1);
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const std::span<const ArcId> removed = g.link_arcs(l);
+    for (ArcId a : removed) alive[a] = 0;
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      shortest_distances_to(g, t, costs, {}, base);
+      delta = base;
+      const std::ptrdiff_t touched =
+          delta_spf_remove_arcs(g, costs, alive, removed, delta, g.num_nodes(), scratch);
+      ASSERT_GE(touched, 0);
+      const std::span<const NodeId> affected = scratch.last_affected();
+      ASSERT_EQ(affected.size(), static_cast<std::size_t>(touched));
+      std::vector<int> seen(g.num_nodes(), 0);
+      for (NodeId u : affected) EXPECT_EQ(++seen[u], 1) << "listed twice: " << u;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (delta[u] != base[u]) {
+          EXPECT_EQ(seen[u], 1) << "link " << l << " node " << u;
+        }
+      }
+    }
+    for (ArcId a : removed) alive[a] = 1;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// delta_spf_remove_arcs: the incremental update must reproduce a from-scratch
+// Dijkstra bit for bit, for every destination and every removed link.
+// ---------------------------------------------------------------------------
 
 void expect_delta_matches_full(const Graph& g, std::span<const double> costs) {
   DeltaSpfScratch scratch;
