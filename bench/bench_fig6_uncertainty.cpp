@@ -11,8 +11,9 @@
 /// Runs as a campaign: one cell per uncertainty model. The fluctuated-TM
 /// loop is the campaign engine's batched `evaluate_fluctuations` — trials
 /// are drawn from one sequential stream, then sharded with a per-trial
-/// Evaluator on top of per-worker routing scratch. See bench_common.h for
-/// the standard flags.
+/// Evaluator on top of per-worker routing scratch; each trial's base cache
+/// builds a routing's base once and delta-patches every stressed failure
+/// from it. See bench_common.h for the standard flags.
 
 #include <iostream>
 #include <string>

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/metrics.h"
-#include "graph/spf.h"
 #include "routing/failures.h"
 #include "scenarios/scenario_eval.h"
 #include "scenarios/srlg.h"
@@ -259,6 +258,8 @@ CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& opt
 }
 
 std::vector<LinkId> worst_failure_links(const FailureProfile& profile, double fraction) {
+  if (!(fraction >= 0.0 && fraction <= 1.0))
+    throw std::invalid_argument("worst_failure_links: fraction must lie in [0, 1]");
   std::vector<std::size_t> order(profile.violations.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -309,87 +310,22 @@ std::vector<StressSeries> evaluate_fluctuations(const Workload& base,
   // Per-trial slabs: [trial][routing][top index].
   const std::size_t cols = routings.size() * top.size();
   std::vector<double> violations(trials * cols), phi(trials * cols);
-  if (!eval_config.incremental || trials == 0 || top.empty()) {
-    // Reference shape: each trial builds one Evaluator and reuses it for
-    // every routing and failure, on top of the per-worker routing scratch
-    // the Evaluator keeps thread-local.
-    parallel_for(pool, trials, [&](std::size_t, std::size_t t) {
-      // One evaluator (and thus one base cache) per trial: each routing's
-      // base is built on the first failure evaluation and patched for the
-      // rest.
-      const Evaluator evaluator(base.graph, actual[t], base.params, eval_config);
-      const double denom = std::max(evaluator.phi_uncap(), 1e-9);
-      for (std::size_t r = 0; r < routings.size(); ++r) {
-        for (std::size_t i = 0; i < top.size(); ++i) {
-          const EvalResult res =
-              evaluator.evaluate(routings[r], FailureScenario::link(top[i]));
-          violations[t * cols + r * top.size() + i] =
-              static_cast<double>(res.sla_violations);
-          phi[t * cols + r * top.size() + i] = res.phi / denom;
-        }
-      }
-    });
-  } else {
-    // Cross-trial base sharing: distance labels are a pure function of
-    // weights + topology + failure — never of the traffic matrix — so the
-    // per-(routing, failure) SPF solve is hoisted out of the trial loop.
-    // Each routing's no-failure labels are built once with full Dijkstras,
-    // each top-failure's labels are delta-patched from them, and every
-    // perturbed-TM trial re-runs only load aggregation + the cost tail
-    // (Evaluator::evaluate_with_labels) — bit-identical to the reference
-    // shape above, which evaluates the same labels per trial from scratch.
-    std::vector<std::unique_ptr<Evaluator>> evals(trials);
-    parallel_for(pool, trials, [&](std::size_t, std::size_t t) {
-      evals[t] = std::make_unique<Evaluator>(base.graph, actual[t], base.params,
-                                             eval_config);
-    });
-
-    const std::size_t n = base.graph.num_nodes();
-    const auto cap =
-        static_cast<std::size_t>(kIncrementalMaxAffectedFraction * static_cast<double>(n));
-    std::vector<double> cost_delay, cost_tput;
-    std::vector<std::uint8_t> mask;
-    std::vector<ArcId> removed;
-    SharedScenarioLabels no_fail, labels;
-    no_fail.delay.resize(n);
-    no_fail.tput.resize(n);
-    labels.delay.resize(n);
-    labels.tput.resize(n);
-    DeltaSpfScratch spf;
+  // One evaluator (and thus one base cache) per trial, reused for every
+  // routing and failure, on top of the per-worker routing scratch the
+  // Evaluator keeps thread-local. With eval_config.incremental each routing's
+  // base is built on its first failure evaluation and delta-patched for the
+  // rest.
+  parallel_for(pool, trials, [&](std::size_t, std::size_t t) {
+    const Evaluator evaluator(base.graph, actual[t], base.params, eval_config);
+    const double denom = std::max(evaluator.phi_uncap(), 1e-9);
     for (std::size_t r = 0; r < routings.size(); ++r) {
-      routings[r].arc_costs(base.graph, TrafficClass::kDelay, cost_delay);
-      routings[r].arc_costs(base.graph, TrafficClass::kThroughput, cost_tput);
-      for (NodeId t = 0; t < n; ++t) {
-        shortest_distances_to(base.graph, t, cost_delay, {}, no_fail.delay[t]);
-        shortest_distances_to(base.graph, t, cost_tput, {}, no_fail.tput[t]);
-      }
       for (std::size_t i = 0; i < top.size(); ++i) {
-        const FailureScenario scenario = FailureScenario::link(top[i]);
-        build_alive_mask(base.graph, scenario, mask);
-        removed.clear();
-        for_each_failed_arc(base.graph, scenario,
-                            [&](ArcId a) { removed.push_back(a); });
-        for (NodeId t = 0; t < n; ++t) {
-          labels.delay[t] = no_fail.delay[t];
-          if (delta_spf_remove_arcs(base.graph, cost_delay, mask, removed,
-                                    labels.delay[t], cap, spf) < 0)
-            shortest_distances_to(base.graph, t, cost_delay, mask, labels.delay[t]);
-          labels.tput[t] = no_fail.tput[t];
-          if (delta_spf_remove_arcs(base.graph, cost_tput, mask, removed,
-                                    labels.tput[t], cap, spf) < 0)
-            shortest_distances_to(base.graph, t, cost_tput, mask, labels.tput[t]);
-        }
-        parallel_for(pool, trials, [&](std::size_t, std::size_t t) {
-          const double denom = std::max(evals[t]->phi_uncap(), 1e-9);
-          const EvalResult res =
-              evals[t]->evaluate_with_labels(routings[r], scenario, labels);
-          violations[t * cols + r * top.size() + i] =
-              static_cast<double>(res.sla_violations);
-          phi[t * cols + r * top.size() + i] = res.phi / denom;
-        });
+        const EvalResult res = evaluator.evaluate(routings[r], FailureScenario::link(top[i]));
+        violations[t * cols + r * top.size() + i] = static_cast<double>(res.sla_violations);
+        phi[t * cols + r * top.size() + i] = res.phi / denom;
       }
     }
-  }
+  });
 
   // Ordered reduction over trials keeps the statistics execution-shape
   // independent.
@@ -734,11 +670,12 @@ Campaign parse_campaign_spec(std::istream& in) {
       else if (value == "hotspot")
         cell->fluctuation.model = FluctuationSpec::Model::kHotSpot;
       else fail("unknown value for key 'fluctuation': " + value);
-    } else if (key == "trials") cell->fluctuation.trials = parse_int(key, value);
+    } else if (key == "trials")
+      cell->fluctuation.trials = parse_int(key, value, kPositive);
     else if (key == "epsilon")
       cell->fluctuation.gaussian.epsilon = parse_double(key, value);
     else if (key == "top_fraction")
-      cell->fluctuation.top_fraction = parse_double(key, value);
+      cell->fluctuation.top_fraction = parse_double(key, value, kUnit);
     else if (key == "direction") {
       if (value == "upload")
         cell->fluctuation.hot_spot.direction = HotSpotParams::Direction::kUpload;

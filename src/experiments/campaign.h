@@ -230,10 +230,11 @@ struct StressSeries {
 /// Batched fluctuated-TM evaluation (the ROADMAP "batched TM uncertainty
 /// sweep"): pre-draws `fluct.trials` perturbed matrices from one sequential
 /// RNG stream (so the trial set is independent of the execution shape), then
-/// shards trials across `pool` — one Evaluator per trial, reused for every
-/// routing and failure in that trial, on top of the per-worker routing
-/// scratch. Returns one series per routing over the `top` failure links,
-/// reduced in trial order (bit-identical for any worker count).
+/// shards trials across `pool` — one Evaluator per trial, built with
+/// `eval_config` and reused for every routing and failure in that trial, on
+/// top of the per-worker routing scratch. Returns one series per routing over
+/// the `top` failure links, reduced in trial order (bit-identical for any
+/// worker count and either `eval_config.incremental`).
 std::vector<StressSeries> evaluate_fluctuations(const Workload& base,
                                                 std::span<const WeightSetting> routings,
                                                 std::span<const LinkId> top,
@@ -245,6 +246,7 @@ std::vector<StressSeries> evaluate_fluctuations(const Workload& base,
 /// The worst `fraction` of failures ranked by the damage done to the
 /// profiled routing (violations, then Phi, then index — a total order, so
 /// the stress set is deterministic). At least two failures when non-empty.
+/// Throws std::invalid_argument for a `fraction` outside [0, 1].
 std::vector<LinkId> worst_failure_links(const FailureProfile& profile, double fraction);
 
 /// Parses the line-based campaign spec format (see README "Campaign

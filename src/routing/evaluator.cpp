@@ -368,7 +368,7 @@ void Evaluator::finish_base(IncrementalBase& base) const {
 void Evaluator::ensure_lambda(std::span<const double> cost_delay,
                               const IncrementalBase& base) const {
   std::call_once(base.lambda_once, [&] {
-    // finish_scenario's arc delays, delay DP and SLA aggregation, over the
+    // evaluate_impl's arc delays, delay DP and SLA aggregation, over the
     // base's no-failure routings.
     const GraphCsr& csr = graph_.csr();
     std::vector<double> arc_delay(graph_.num_arcs());
@@ -538,22 +538,6 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
     s.tput_routing.compute(graph_, cost_tput, traffic_.throughput, s.mask, skip);
   }
 
-  EvalResult result = finish_scenario(cost_delay, skip, detail, s);
-  if (stats != nullptr) {
-    if (patched) {
-      ++stats->scenarios_patched;
-      stats->patch.merge(s.failure.stats());
-      stats->patch.delay_cols_recomputed += graph_.num_nodes();
-    } else {
-      ++stats->scenarios_full;
-    }
-  }
-  return result;
-}
-
-EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
-                                      std::span<const NodeId> skip, EvalDetail detail,
-                                      Scratch& s) const {
   const ClassRouting& delay_routing = s.delay_routing;
   const ClassRouting& tput_routing = s.tput_routing;
 
@@ -603,29 +587,16 @@ EvalResult Evaluator::finish_scenario(std::span<const double> cost_delay,
     }
     result.sd_delay_ms = sd_delay;
   }
+  if (stats != nullptr) {
+    if (patched) {
+      ++stats->scenarios_patched;
+      stats->patch.merge(s.failure.stats());
+      stats->patch.delay_cols_recomputed += graph_.num_nodes();
+    } else {
+      ++stats->scenarios_full;
+    }
+  }
   return result;
-}
-
-EvalResult Evaluator::evaluate_with_labels(const WeightSetting& w,
-                                           const FailureScenario& scenario,
-                                           const SharedScenarioLabels& labels,
-                                           EvalDetail detail) const {
-  if (w.num_links() != graph_.num_links())
-    throw std::invalid_argument(
-        "Evaluator::evaluate_with_labels: weight setting size mismatch");
-  if (!skipped_nodes(scenario).empty())
-    throw std::invalid_argument(
-        "Evaluator::evaluate_with_labels: node-failure scenarios unsupported");
-
-  Scratch& s = worker_scratch();
-  w.arc_costs(graph_, TrafficClass::kDelay, s.cost_delay);
-  w.arc_costs(graph_, TrafficClass::kThroughput, s.cost_tput);
-  build_alive_mask(graph_, scenario, s.mask);
-  s.delay_routing.compute_with_labels(graph_, s.cost_delay, traffic_.delay, s.mask,
-                                      labels.delay);
-  s.tput_routing.compute_with_labels(graph_, s.cost_tput, traffic_.throughput, s.mask,
-                                     labels.tput);
-  return finish_scenario(s.cost_delay, {}, detail, s);
 }
 
 std::vector<EvalResult> Evaluator::evaluate_failures(
@@ -754,8 +725,9 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
   const LexicographicOrder order;
 
   // Accumulates scenario i's (already weighted) costs in order and applies
-  // the abort bound; returns true to stop. Shared by both paths so the
-  // parallel sweep is term-for-term identical to the sequential one.
+  // the abort bound; returns true to stop. Terms are consumed in scenario
+  // order whatever the round width below, so the parallel sweep is
+  // term-for-term identical to the sequential one.
   auto accumulate = [&](double lambda, double phi, double violations) -> bool {
     sum.lambda += lambda;
     sum.phi += phi;
@@ -820,23 +792,9 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
     return sum;
   };
 
-  if (pool == nullptr || pool->num_workers() <= 1 || scenarios.size() <= 1) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const double weight = scenario_weights.empty() ? 1.0 : scenario_weights[i];
-      if (weight < 0.0) throw std::invalid_argument("Evaluator::sweep: negative weight");
-      EvalStats ts;
-      const EvalResult r =
-          evaluate_impl(cost_delay, cost_tput, scenarios[i], EvalDetail::kCostsOnly,
-                        worker_scratch(), base_ptr, reg != nullptr ? &ts : nullptr);
-      if (reg != nullptr) agg.merge(ts);
-      if (accumulate(weight * r.lambda, weight * r.phi,
-                     weight * static_cast<double>(r.sla_violations)))
-        return finish();
-    }
-    return finish();
-  }
-
-  const std::size_t round = pool->num_workers();
+  // Rounds of one scenario per worker; without a pool (or with one worker)
+  // a round is one scenario and parallel_for runs it inline.
+  const std::size_t round = pool != nullptr ? pool->num_workers() : 1;
   std::vector<Term> chunk(round);
   for (std::size_t begin = 0; begin < scenarios.size(); begin += round) {
     const std::size_t count = std::min(round, scenarios.size() - begin);
@@ -851,7 +809,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
     });
     for (std::size_t i = 0; i < count; ++i) {
       // Validated here, not upfront, so an invalid weight past an abort point
-      // behaves exactly like the sequential path (abort wins over throw).
+      // never throws (abort wins over throw) for any worker count.
       const double weight = scenario_weights.empty() ? 1.0 : scenario_weights[begin + i];
       if (weight < 0.0) throw std::invalid_argument("Evaluator::sweep: negative weight");
       if (reg != nullptr) agg.merge(chunk[i].stats);
@@ -861,12 +819,6 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
     }
   }
   return finish();
-}
-
-std::vector<EvalResult> Evaluator::sweep_detailed(
-    const WeightSetting& w, std::span<const FailureScenario> scenarios,
-    EvalDetail detail, ThreadPool* pool) const {
-  return evaluate_failures(w, scenarios, pool, detail);
 }
 
 }  // namespace dtr

@@ -147,19 +147,6 @@ struct EvalResult {
   CostPair cost() const { return {lambda, phi}; }
 };
 
-/// Per-class destination distance labels for one (weights, failure scenario)
-/// pair, shared across evaluators that differ only in their traffic matrix —
-/// the cross-trial fast path of evaluate_fluctuations. Labels are a pure
-/// function of weights + topology + failure (never of traffic), so one SPF
-/// solve serves every perturbed-TM trial; each trial re-runs only load
-/// aggregation and the cost tail. `delay[t][u]` / `tput[t][u]` must equal
-/// what shortest_distances_to(g, t, costs, alive) produces for that class,
-/// bit for bit.
-struct SharedScenarioLabels {
-  std::vector<std::vector<double>> delay;
-  std::vector<std::vector<double>> tput;
-};
-
 /// One unit of batched evaluation work: a weight setting under a failure
 /// scenario. `weights` must outlive the batch call.
 struct EvalJob {
@@ -237,28 +224,11 @@ class Evaluator {
   /// DP for every candidate that fails the bound.
   std::optional<CostPair> evaluate_phi_first(const WeightSetting& w, double phi_bound) const;
 
-  /// Evaluation with caller-provided distance labels (see
-  /// SharedScenarioLabels) instead of running any SPF: both class routings
-  /// load-sweep over the given labels under the scenario's alive mask, then
-  /// the ordinary cost tail runs — the same float ops as evaluate(), so the
-  /// result is bit-identical whenever the labels match what the scenario's
-  /// SPF would produce. Node-failure scenarios are rejected (their skip
-  /// semantics change the demand set, not just arc liveness).
-  EvalResult evaluate_with_labels(const WeightSetting& w, const FailureScenario& scenario,
-                                  const SharedScenarioLabels& labels,
-                                  EvalDetail detail = EvalDetail::kCostsOnly) const;
-
   /// Sums weighted Lambda/Phi/violations over `scenarios` under the options'
   /// early-abort / weighting / parallelism knobs (see SweepOptions). The
   /// workhorse behind every catalog-aggregation objective.
   SweepResult sweep(const WeightSetting& w, std::span<const FailureScenario> scenarios,
                     const SweepOptions& options = {}) const;
-
-  /// Per-scenario results (for the per-failure figures / metrics).
-  std::vector<EvalResult> sweep_detailed(const WeightSetting& w,
-                                         std::span<const FailureScenario> scenarios,
-                                         EvalDetail detail = EvalDetail::kCostsOnly,
-                                         ThreadPool* pool = nullptr) const;
 
   /// Batch failure-scenario evaluation: one EvalResult per scenario, all for
   /// the same weight setting. Arc costs are expanded once and shared across
@@ -352,14 +322,6 @@ class Evaluator {
                            const FailureScenario& scenario, EvalDetail detail,
                            Scratch& scratch, const IncrementalBase* base = nullptr,
                            EvalStats* stats = nullptr) const;
-
-  /// Everything downstream of the two class routings sitting in `scratch`:
-  /// total loads, arc delays, the end-to-end delay DP, cost aggregation, and
-  /// the kFull detail. Shared by evaluate_impl and evaluate_with_labels so
-  /// the float operations are literally the same code.
-  EvalResult finish_scenario(std::span<const double> cost_delay,
-                             std::span<const NodeId> skip, EvalDetail detail,
-                             Scratch& s) const;
 
   /// Builds the no-failure base for these arc costs from scratch: both
   /// routings with full Dijkstras, then the no-failure products. The replay

@@ -458,33 +458,6 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
   }
 }
 
-void ClassRouting::compute_with_labels(const Graph& g, std::span<const double> arc_cost,
-                                       const TrafficMatrix& demands,
-                                       ArcAliveMask alive_mask,
-                                       const std::vector<std::vector<double>>& labels,
-                                       std::span<const NodeId> skip_nodes) {
-  if (demands.num_nodes() != g.num_nodes())
-    throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
-  const std::size_t n = g.num_nodes();
-  if (labels.size() != n)
-    throw std::invalid_argument("compute_with_labels: labels/graph size mismatch");
-
-  arc_load_.assign(g.num_arcs(), 0.0);
-  dist_.resize(n);
-  tight_.assign(n * tight_words(g.num_arcs()), 0);
-  disconnected_ = 0;
-  disconnected_volume_ = 0.0;
-
-  for (NodeId t = 0; t < n; ++t) {
-    if (labels[t].size() != n)
-      throw std::invalid_argument("compute_with_labels: label column size mismatch");
-    dist_[t] = labels[t];
-    if (is_skipped(skip_nodes, t)) continue;
-    sort_sweep_order(dist_[t], t, order_);
-    sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, order_, nullptr);
-  }
-}
-
 void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                                      ArcAliveMask alive_mask,
                                      std::span<const double> arc_delay_ms,

@@ -116,8 +116,8 @@ class FailureScratch {
 /// shortest_distances_to reports. The order fixes the order in which a
 /// node's inflow sums, so every load path uses this one total order: compute
 /// takes it from its Dijkstra, the patch paths take it from the base's record
-/// (merging in the relabelled nodes), and only record_contributions and
-/// compute_with_labels, which run no Dijkstra, sort.
+/// (merging in the relabelled nodes), and only record_contributions, which
+/// runs no Dijkstra, sorts.
 class ClassRouting {
  public:
   /// `skip_nodes`: demands sourced or sunk at any of these nodes are ignored
@@ -194,19 +194,6 @@ class ClassRouting {
                                  std::span<const ArcCostDelta> changes,
                                  double max_affected_fraction,
                                  FailureScratch& scratch);
-
-  /// (Re)computes the routing from CALLER-PROVIDED distance labels
-  /// (labels[t][u] = shortest cost u -> t under arc_cost/alive), skipping the
-  /// per-destination Dijkstras: the labels are copied and the identical load
-  /// sweep of compute() runs over them. With labels equal to what
-  /// shortest_distances_to produces, the result is bitwise identical to
-  /// compute() — the cross-trial sharing path of evaluate_fluctuations leans
-  /// on this to build labels once per weight setting and reuse them across
-  /// every perturbed traffic matrix.
-  void compute_with_labels(const Graph& g, std::span<const double> arc_cost,
-                           const TrafficMatrix& demands, ArcAliveMask alive,
-                           const std::vector<std::vector<double>>& labels,
-                           std::span<const NodeId> skip_nodes = {});
 
   std::span<const double> arc_loads() const { return arc_load_; }
   double arc_load(ArcId a) const { return arc_load_[a]; }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -71,11 +72,11 @@ TEST(CampaignTest, JsonBytesIdenticalAcrossExecutionShapes) {
   EXPECT_NE(a.find("\"pert_violations_r_mean\""), std::string::npos);
 }
 
-TEST(CampaignTest, FluctuationSharedBasePathMatchesReferenceBytes) {
-  // evaluate_fluctuations rides the cross-trial shared-labels path when the
-  // incremental engine is on (one SPF solve per routing x failure, reused by
-  // every perturbed trial) and the per-trial reference path when it is off.
-  // Both must produce byte-identical stress series, for any pool shape.
+TEST(CampaignTest, FluctuationIncrementalMatchesFullRecomputeBytes) {
+  // evaluate_fluctuations builds one Evaluator per trial with the caller's
+  // config. The incremental engine (base cache, delta-SPF, replay) must give
+  // byte-identical stress series to the full-recompute oracle, sequentially
+  // and on a pool.
   WorkloadSpec spec;
   spec.kind = TopologyKind::kRand;
   spec.nodes = 10;
@@ -92,28 +93,29 @@ TEST(CampaignTest, FluctuationSharedBasePathMatchesReferenceBytes) {
   fluct.model = FluctuationSpec::Model::kGaussian;
   fluct.trials = 4;
 
-  EvaluatorConfig shared_cfg;     // incremental on: shared-labels path
-  EvaluatorConfig reference_cfg;  // incremental off: per-trial evaluators
+  EvaluatorConfig incremental_cfg;
+  EvaluatorConfig reference_cfg;
   reference_cfg.incremental = false;
 
   ThreadPool pool(4);
   const std::vector<StressSeries> reference =
       evaluate_fluctuations(w, routings, top, fluct, 77, nullptr, reference_cfg);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const std::vector<StressSeries> shared =
-        evaluate_fluctuations(w, routings, top, fluct, 77, p, shared_cfg);
-    ASSERT_EQ(shared.size(), reference.size());
+    const std::vector<StressSeries> incremental =
+        evaluate_fluctuations(w, routings, top, fluct, 77, p, incremental_cfg);
+    ASSERT_EQ(incremental.size(), reference.size());
     const auto bytes_equal = [](const std::vector<double>& x,
                                 const std::vector<double>& y) {
       return x.size() == y.size() &&
              (x.empty() ||
               std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
     };
-    for (std::size_t r = 0; r < shared.size(); ++r) {
-      EXPECT_TRUE(bytes_equal(shared[r].mean_violations, reference[r].mean_violations));
-      EXPECT_TRUE(bytes_equal(shared[r].std_violations, reference[r].std_violations));
-      EXPECT_TRUE(bytes_equal(shared[r].mean_phi, reference[r].mean_phi));
-      EXPECT_TRUE(bytes_equal(shared[r].std_phi, reference[r].std_phi));
+    for (std::size_t r = 0; r < incremental.size(); ++r) {
+      const StressSeries& a = incremental[r];
+      EXPECT_TRUE(bytes_equal(a.mean_violations, reference[r].mean_violations));
+      EXPECT_TRUE(bytes_equal(a.std_violations, reference[r].std_violations));
+      EXPECT_TRUE(bytes_equal(a.mean_phi, reference[r].mean_phi));
+      EXPECT_TRUE(bytes_equal(a.std_phi, reference[r].std_phi));
     }
   }
 }
@@ -299,6 +301,12 @@ TEST(CampaignTest, SpecParserRejectsMalformedInput) {
   expect_error("no equals here\n", "expected key = value");
   expect_error("seed = -1\n", "bad seed");  // stoull would wrap mod 2^64
   expect_error("[cell]\nrepeats = 0\n", "repeats must be >= 1");
+  // A non-positive trial count or an out-of-range stressed share would skip
+  // the cell's stress block silently.
+  expect_error("[cell]\ntrials = -4\n", "trials must be >= 1");
+  expect_error("[cell]\ntrials = 0\n", "trials must be >= 1");
+  expect_error("[cell]\ntop_fraction = -1\n", "top_fraction must be");
+  expect_error("[cell]\ntop_fraction = 1e300\n", "top_fraction must be");
   // stod accepts nan/inf; NaN would slip past every range check.
   expect_error("[cell]\ncritical_fraction = nan\n", "line 2: bad number for key");
   expect_error("[cell]\nobjective = downtime\nharden_period_min = inf\n", "bad number");
@@ -355,6 +363,10 @@ TEST(CampaignTest, WorstFailureLinksIsADeterministicTotalOrder) {
   // At least two stressed failures even for tiny fractions.
   EXPECT_EQ(worst_failure_links(profile, 0.01).size(), 2u);
   EXPECT_TRUE(worst_failure_links({}, 0.1).empty());
+  // Outside [0, 1] the share has no meaning (and ceil(fraction * n) would
+  // not fit a size_t).
+  for (const double bad : {-1.0, 1.5, 1e300, std::nan("")})
+    EXPECT_THROW(worst_failure_links(profile, bad), std::invalid_argument) << bad;
 }
 
 }  // namespace

@@ -12,17 +12,17 @@
 ///   2. failure-scenario evaluation (single links, link pairs, links-only
 ///      compound scenarios, node failures) incremental vs full;
 ///   3. weight-delta donor patching (Phase-1 probe shape: neighbors of a
-///      cached incumbent) vs scratch-built bases, plus the cross-trial
-///      shared-labels path of evaluate_fluctuations vs per-trial evaluators;
+///      cached incumbent) vs scratch-built bases, plus evaluate_fluctuations
+///      per-trial incremental evaluators vs per-trial full recomputes;
 ///   4. the pinned incumbent: a local-search-shaped walk interleaving
 ///      pin_incumbent with single-link probes, accepts, restarts and
 ///      fallbacks to an earlier best, vs the full recompute — and the pinned
 ///      setting must still be cached whenever the walk returns to it;
 ///   5. the end-to-end delay DP over the routing's recorded ECMP DAG vs the
 ///      sorted-order reference DP (reference_delay_dp.h), on routings from
-///      compute (dead arcs, skipped nodes), compute_from_base,
-///      compute_from_weight_delta and compute_with_labels, both delay modes,
-///      dense and sparse demand. Layers 2-4 cannot see a DP bug: the fast
+///      compute (dead arcs, skipped nodes), compute_from_base and
+///      compute_from_weight_delta, both delay modes, dense and sparse
+///      demand. Layers 2-4 cannot see a DP bug: the fast
 ///      and the full evaluator run the same DP.
 /// Layers 2-5 draw weights up to wmax 2 or 20. Weights in {1, 2} make
 /// equal-distance ties common, and ties are where the sweep's order rule
@@ -214,8 +214,8 @@ void fuzz_evaluator(Rng& rng) {
     }
   }
 
-  // Cross-trial shared-labels path of evaluate_fluctuations vs the per-trial
-  // reference, on a small stress block.
+  // evaluate_fluctuations with incremental per-trial evaluators vs the
+  // full-recompute reference, on a small stress block.
   experiments::FluctuationSpec fluct;
   fluct.model = experiments::FluctuationSpec::Model::kGaussian;
   fluct.trials = rng.uniform_int(2, 4);
@@ -223,15 +223,16 @@ void fuzz_evaluator(Rng& rng) {
   for (int i = 0, k = rng.uniform_int(2, 4); i < k; ++i)
     top.push_back(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)));
   const std::uint64_t fluct_seed = rng.split().seed();
-  const auto shared = experiments::evaluate_fluctuations(w, settings, top, fluct,
-                                                         fluct_seed, nullptr, fast_cfg);
+  const auto incremental = experiments::evaluate_fluctuations(
+      w, settings, top, fluct, fluct_seed, nullptr, fast_cfg);
   const auto reference = experiments::evaluate_fluctuations(w, settings, top, fluct,
                                                             fluct_seed, nullptr, full_cfg);
-  for (std::size_t r = 0; r < shared.size(); ++r) {
-    if (!bytes_equal(shared[r].mean_violations, reference[r].mean_violations) ||
-        !bytes_equal(shared[r].std_violations, reference[r].std_violations) ||
-        !bytes_equal(shared[r].mean_phi, reference[r].mean_phi) ||
-        !bytes_equal(shared[r].std_phi, reference[r].std_phi))
+  for (std::size_t r = 0; r < incremental.size(); ++r) {
+    const experiments::StressSeries& a = incremental[r];
+    if (!bytes_equal(a.mean_violations, reference[r].mean_violations) ||
+        !bytes_equal(a.std_violations, reference[r].std_violations) ||
+        !bytes_equal(a.mean_phi, reference[r].mean_phi) ||
+        !bytes_equal(a.std_phi, reference[r].std_phi))
       report_divergence("evaluate_fluctuations", "routing " + std::to_string(r) + shape);
   }
 }

@@ -154,7 +154,7 @@ TEST(EvaluatorTest, SweepSumsMatchDetailed) {
   WeightSetting w(inst.graph.num_links());
   const auto scenarios = all_link_failures(inst.graph);
   const SweepResult sum = ev.sweep(w, scenarios);
-  const auto detailed = ev.sweep_detailed(w, scenarios);
+  const auto detailed = ev.evaluate_failures(w, scenarios);
   double lambda = 0.0, phi = 0.0;
   for (const EvalResult& r : detailed) {
     lambda += r.lambda;

@@ -71,8 +71,8 @@ inline void reference_end_to_end_delays(const Graph& g, const ClassRouting& rout
 
 /// Builds one class's routing over `demands` through every path that writes
 /// its ECMP DAG — compute with dead arcs and a skipped node,
-/// compute_from_base, compute_from_weight_delta, compute_with_labels — under
-/// random link weights in [1, wmax] (wmax = 2 makes ECMP ties common), then
+/// compute_from_base, compute_from_weight_delta — under random link weights
+/// in [1, wmax] (wmax = 2 makes ECMP ties common), then
 /// compares end_to_end_delays with the reference under both SlaDelayModes
 /// and random arc delays. Returns "<path>/<mode>" for every comparison whose
 /// bytes differ; `checks` counts the comparisons made.
@@ -137,12 +137,6 @@ inline std::vector<std::string> delay_dp_mismatches(const Graph& g, const Traffi
   ClassRouting delta;
   delta.compute_from_weight_delta(g, new_cost, demands, base, record, changes, 0.25, scratch);
   compare("compute_from_weight_delta", delta, new_cost, {}, {});
-
-  std::vector<std::vector<double>> labels(n);
-  for (NodeId t = 0; t < n; ++t) shortest_distances_to(g, t, cost, alive, labels[t]);
-  ClassRouting labelled;
-  labelled.compute_with_labels(g, cost, demands, alive, labels, skip);
-  compare("compute_with_labels", labelled, cost, alive, skip);
   return mismatches;
 }
 

@@ -280,22 +280,34 @@ TEST(SweepOrderTest, EqualDistanceNodesFeedTheirSuccessorInDecreasingIdOrder) {
 
 TEST(SweepOrderTest, EveryLoadPathMatchesTheReferenceOnMinHopGraphs) {
   // Unit costs on dense random graphs tie most distances. compute() takes its
-  // order from Dijkstra; compute_with_labels sorts; a weight delta back to
-  // unit costs merges the relabelled nodes into its donor's order row.
+  // order from Dijkstra; record_contributions sorts the labels (the one sort
+  // left) and must write the record an eager compute writes; a weight delta
+  // back to unit costs merges the relabelled nodes into its donor's order row.
   for (const std::uint64_t seed : {4ull, 8ull}) {
     const Graph g = make_rand_topo({16, 5.0, 500.0, seed});
     const TrafficMatrix tm = make_gravity_traffic(g, {3.0, 1.0, seed + 1});
     const std::vector<double> costs(g.num_arcs(), 1.0);
     const std::vector<double> want = reference_push_sweep(g, costs, tm, true);
 
-    EXPECT_TRUE(load_bytes_equal(ClassRouting(g, costs, tm, {}).arc_loads(), want));
+    ClassRouting eager;
+    RoutingBaseRecord eager_record;
+    eager.compute(g, costs, tm, {}, {}, &eager_record);
+    EXPECT_TRUE(load_bytes_equal(eager.arc_loads(), want));
 
-    std::vector<std::vector<double>> labels(g.num_nodes());
-    for (NodeId t = 0; t < g.num_nodes(); ++t)
-      shortest_distances_to(g, t, costs, {}, labels[t]);
-    ClassRouting with_labels;
-    with_labels.compute_with_labels(g, costs, tm, {}, labels);
-    EXPECT_TRUE(load_bytes_equal(with_labels.arc_loads(), want));
+    const ClassRouting lazy(g, costs, tm, {});
+    RoutingBaseRecord lazy_record;
+    lazy.record_contributions(g, costs, tm, {}, {}, lazy_record);
+    const auto rows_equal = [](const auto& x, const auto& y) {
+      return x.size() == y.size() &&
+             (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+    };
+    EXPECT_TRUE(rows_equal(lazy_record.contrib_offset, eager_record.contrib_offset));
+    EXPECT_TRUE(rows_equal(lazy_record.contrib_arc, eager_record.contrib_arc));
+    EXPECT_TRUE(rows_equal(lazy_record.contrib_val, eager_record.contrib_val));
+    EXPECT_TRUE(rows_equal(lazy_record.disconnected, eager_record.disconnected));
+    EXPECT_TRUE(rows_equal(lazy_record.disconnected_volume, eager_record.disconnected_volume));
+    EXPECT_TRUE(rows_equal(lazy_record.order_offset, eager_record.order_offset));
+    EXPECT_TRUE(rows_equal(lazy_record.order_node, eager_record.order_node));
 
     std::vector<double> donor_costs = costs;
     std::vector<ArcCostDelta> changes;
@@ -452,9 +464,9 @@ TEST(EndToEndDelayTest, DisconnectedIsInfinite) {
 TEST(EndToEndDelayTest, MatchesSortedReferenceOnEveryRoutingPath) {
   // The DAG walk must reproduce the sorted-order DP bit for bit on routings
   // from every path that writes the DAG (compute with dead arcs and skipped
-  // nodes, compute_from_base, compute_from_weight_delta,
-  // compute_with_labels), under dense and sparse demand and ECMP-heavy
-  // weights. Incremental-vs-full checks cannot see a DP bug: both run it.
+  // nodes, compute_from_base, compute_from_weight_delta), under dense and
+  // sparse demand and ECMP-heavy weights. Incremental-vs-full checks cannot
+  // see a DP bug: both run it.
   std::size_t checks = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const int nodes = 9 + static_cast<int>(seed % 5);
@@ -475,7 +487,7 @@ TEST(EndToEndDelayTest, MatchesSortedReferenceOnEveryRoutingPath) {
       }
     }
   }
-  EXPECT_EQ(checks, 12u * 2 * 2 * 10);
+  EXPECT_EQ(checks, 12u * 2 * 2 * 8);
 }
 
 TEST(EndToEndDelayTest, NodesReachedOnlyByUnderflowedShares) {
