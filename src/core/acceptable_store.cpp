@@ -21,22 +21,4 @@ void AcceptableStore::offer(const WeightSetting& setting, const CostPair& cost) 
   if (slot < capacity_) entries_[slot] = {setting, cost};
 }
 
-std::vector<const AcceptableStore::Entry*> AcceptableStore::feasible_entries(
-    double lambda_star, double phi_star, double chi) const {
-  const LexicographicOrder order;
-  std::vector<const Entry*> out;
-  for (const Entry& e : entries_) {
-    if (order.values_equal(e.cost.lambda, lambda_star) &&
-        e.cost.phi <= (1.0 + chi) * phi_star + order.abs_tol()) {
-      out.push_back(&e);
-    }
-  }
-  return out;
-}
-
-const AcceptableStore::Entry& AcceptableStore::sample(Rng& rng) const {
-  if (entries_.empty()) throw std::logic_error("AcceptableStore::sample: empty store");
-  return entries_[rng.uniform_index(entries_.size())];
-}
-
 }  // namespace dtr

@@ -10,9 +10,8 @@
 namespace dtr {
 
 /// Bounded store of weight settings encountered during Phase 1 together with
-/// their normal-condition costs. Phase 2 restarts its constrained search from
-/// entries that satisfy Eqs. (5)/(6) once Lambda*/Phi* are known; Phase 1b
-/// perturbs entries to generate additional failure-like cost samples.
+/// their normal-condition costs. Phase 1b perturbs entries to generate
+/// additional failure-like cost samples.
 ///
 /// Capacity-bounded via reservoir sampling so the retained entries are an
 /// unbiased sample of everything offered — keeping diversity rather than just
@@ -31,14 +30,6 @@ class AcceptableStore {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   const Entry& entry(std::size_t i) const { return entries_[i]; }
-
-  /// Entries satisfying Lambda == lambda_star (tolerance) and
-  /// Phi <= (1+chi) * phi_star — the Phase 2 feasible starting points.
-  std::vector<const Entry*> feasible_entries(double lambda_star, double phi_star,
-                                             double chi) const;
-
-  /// Uniformly random entry; requires !empty().
-  const Entry& sample(Rng& rng) const;
 
  private:
   std::size_t capacity_;

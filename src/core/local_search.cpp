@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace dtr {
@@ -26,10 +27,6 @@ void LocalSearch::set_on_accept(
 
 void LocalSearch::set_on_move(std::function<void(const MoveRecord&)> on_move) {
   on_move_ = std::move(on_move);
-}
-
-void LocalSearch::set_restart(std::function<WeightSetting(Rng&)> restart) {
-  restart_ = std::move(restart);
 }
 
 LocalSearch::Result LocalSearch::run(SearchObjective& objective,
@@ -186,39 +183,27 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
     best_at_div_start = result.best_cost;
     idle_iterations = 0;
 
-    if (stalled_divs >= config_.phase.stall_diversifications || completed_divs >= max_divs)
+    if (stalled_divs >= config_.phase.stall_diversifications || completed_divs >= max_divs ||
+        result.iterations >= max_iterations)
       break;
 
-    // Restart from a fresh setting; keep drawing if the restart point is
-    // infeasible (can happen for constrained Phase 2 objectives).
-    bool restarted = false;
-    for (int attempt = 0; attempt < 16 && !restarted; ++attempt) {
-      WeightSetting fresh = restart_ ? restart_(rng) : [&] {
-        WeightSetting w(num_links);
-        randomize_weights(w, config_.wmax, rng);
-        return w;
-      }();
-      const auto fresh_cost = objective.evaluate(fresh, nullptr);
-      ++result.evaluations;
-      if (fresh_cost.has_value()) {
-        current = std::move(fresh);
-        current_cost = *fresh_cost;
-        objective.adopt(current);
-        if (on_accept_) on_accept_(current, current_cost);
-        if (on_move_)
-          on_move_({result.iterations, result.evaluations, kInvalidLink, current_cost, true});
-        if (order.less(current_cost, result.best_cost)) {
-          result.best = current;
-          result.best_cost = current_cost;
-        }
-        restarted = true;
-      }
-    }
-    if (!restarted) {
-      // No feasible restart found: continue climbing from the incumbent best.
-      current = result.best;
-      current_cost = result.best_cost;
-      objective.adopt(current);
+    // Restart from one uniformly random setting. A constrained objective
+    // (Phase 2) may reject it; the search then resumes from the best.
+    WeightSetting fresh(num_links);
+    randomize_weights(fresh, config_.wmax, rng);
+    const auto fresh_cost = objective.evaluate(fresh, nullptr);
+    ++result.evaluations;
+    const bool restarted = fresh_cost.has_value();
+    current = restarted ? std::move(fresh) : result.best;
+    current_cost = restarted ? *fresh_cost : result.best_cost;
+    objective.adopt(current);
+    if (!restarted) continue;
+    if (on_accept_) on_accept_(current, current_cost);
+    if (on_move_)
+      on_move_({result.iterations, result.evaluations, kInvalidLink, current_cost, true});
+    if (order.less(current_cost, result.best_cost)) {
+      result.best = current;
+      result.best_cost = current_cost;
     }
   }
   return result;

@@ -5,7 +5,6 @@
 
 #include "cost/cost_types.h"
 #include "routing/weights.h"
-#include "util/rng.h"
 
 namespace dtr {
 
@@ -13,8 +12,12 @@ class ThreadPool;
 
 /// Stopping/diversification parameters for one search phase (Sec. IV-A).
 struct PhaseParams {
-  /// Iterations without improvement before restarting from a fresh setting
-  /// ("diversification"). Paper: 100 (Phase 1) / 30 (Phase 2).
+  /// Iterations without improvement before a diversification: one uniformly
+  /// random setting is drawn and adopted when the objective accepts it,
+  /// otherwise the search resumes from its best setting. Phase 1's draws are
+  /// always feasible; Phase 2's constraints (5)/(6) reject nearly all of
+  /// them, so there it reshuffles from the best. Paper: 100 (Phase 1) /
+  /// 30 (Phase 2).
   int diversification_interval = 100;
   /// Stop after this many consecutive diversifications whose best-cost
   /// improvement stayed below `improvement_threshold`. Paper: P1=20 / P2=10.
@@ -71,8 +74,9 @@ class SearchObjective {
                                          const CostPair* incumbent) = 0;
 
   /// Called whenever LocalSearch sets its current setting outside the probe
-  /// path — the initial point, a restart adoption, the fallback to the best
-  /// — with a setting evaluated earlier. Probes of `w` follow, so
+  /// path — the initial point, and at each diversification either the
+  /// adopted random draw or, when the draw is infeasible, the best setting —
+  /// with a setting evaluated earlier. Probes of `w` follow, so
   /// evaluator-backed objectives keep its base cached for them. Must not
   /// change any result. Runs on the calling thread. Default: nothing.
   virtual void adopt(const WeightSetting& /*w*/) {}
@@ -122,7 +126,11 @@ struct MoveRecord {
 /// the engine shared by both optimization phases. In every iteration each
 /// link (random order) has BOTH its weights redrawn uniformly in [1, wmax];
 /// the candidate is kept iff the objective deems it feasible and
-/// lexicographically better than the current setting.
+/// lexicographically better than the current setting. Each diversification
+/// evaluates one uniformly random setting: a feasible draw becomes the
+/// current setting (a restart move), an infeasible one sends the search back
+/// to its best setting. No diversification is drawn once the iteration cap
+/// is reached.
 class LocalSearch {
  public:
   struct Config {
@@ -167,10 +175,6 @@ class LocalSearch {
   /// with its iteration-indexed record — the deterministic convergence feed.
   void set_on_move(std::function<void(const MoveRecord&)> on_move);
 
-  /// Produces the setting a diversification restarts from. Defaults to
-  /// uniformly random weights.
-  void set_restart(std::function<WeightSetting(Rng&)> restart);
-
   /// Runs the search from `initial`. `initial` must be feasible under the
   /// objective (throws std::invalid_argument otherwise).
   Result run(SearchObjective& objective, const WeightSetting& initial);
@@ -180,7 +184,6 @@ class LocalSearch {
   std::function<void(const PerturbationEvent&)> observer_;
   std::function<void(const WeightSetting&, const CostPair&)> on_accept_;
   std::function<void(const MoveRecord&)> on_move_;
-  std::function<WeightSetting(Rng&)> restart_;
 };
 
 }  // namespace dtr

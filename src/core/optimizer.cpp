@@ -565,30 +565,10 @@ void OptimizeRun::phase2() {
       make_phase2_objective(evaluator_, catalog_, std::move(scenarios), std::move(weights),
                             result_.regular_cost, config_.chi, pool_.get());
 
-  const auto feasible = store_.feasible_entries(result_.regular_cost.lambda,
-                                                result_.regular_cost.phi, config_.chi);
   // Phase 2 screens candidates against constraints (5)/(6) speculatively on
   // the pool, like Phase 1a; the survivors' sweeps run in probe order on this
   // thread and parallelize across the pool inside the sweep.
   LocalSearch search({config_.phase2, config_.wmax, rng_.split().seed(), pool_.get()});
-  const WeightSetting regular_best = result_.regular;  // stable restart fallback
-  const int wmax = config_.wmax;
-  // Diversification restarts draw a recorded feasible setting and jitter a
-  // random ~10% of links: the feasible pool is often small (constraints (5)
-  // and (6) are tight), and unjittered restarts would keep replaying the
-  // same trajectory. LocalSearch re-draws on infeasible restarts.
-  search.set_restart([&feasible, regular_best, wmax](Rng& restart_rng) {
-    WeightSetting w = feasible.empty()
-                          ? regular_best
-                          : feasible[restart_rng.uniform_index(feasible.size())]->setting;
-    const std::size_t jitters = 1 + w.num_links() / 10;
-    for (std::size_t j = 0; j < jitters; ++j) {
-      const LinkId link = static_cast<LinkId>(restart_rng.uniform_index(w.num_links()));
-      w.set(TrafficClass::kDelay, link, restart_rng.uniform_int(1, wmax));
-      w.set(TrafficClass::kThroughput, link, restart_rng.uniform_int(1, wmax));
-    }
-    return w;
-  });
   search.set_on_move([this](const MoveRecord& m) { record_move(2, "phase2", m); });
   if (events_ != nullptr) {
     // Process-plane progress heartbeat: a tick every 256 probes so a live

@@ -565,6 +565,13 @@ Campaign parse_campaign_spec(std::istream& in) {
   };
   constexpr cli::Range<int> kPositive{.min = 1};
   constexpr cli::Range<double> kUnit{0.0, 1.0};
+  // The ranges apply_gaussian_fluctuation / apply_hot_spot enforce, checked
+  // here so a bad value fails before the cell's optimization runs.
+  const auto parse_open_unit = [&](const std::string& key, const std::string& v) {
+    const double out = parse_double(key, v);
+    if (out <= 0.0 || out > 1.0) fail(key + " must be in (0, 1], got " + v);
+    return out;
+  };
 
   while (std::getline(in, line)) {
     ++lineno;
@@ -673,7 +680,7 @@ Campaign parse_campaign_spec(std::istream& in) {
     } else if (key == "trials")
       cell->fluctuation.trials = parse_int(key, value, kPositive);
     else if (key == "epsilon")
-      cell->fluctuation.gaussian.epsilon = parse_double(key, value);
+      cell->fluctuation.gaussian.epsilon = parse_double(key, value, {.min = 0.0});
     else if (key == "top_fraction")
       cell->fluctuation.top_fraction = parse_double(key, value, kUnit);
     else if (key == "direction") {
@@ -683,12 +690,14 @@ Campaign parse_campaign_spec(std::istream& in) {
         cell->fluctuation.hot_spot.direction = HotSpotParams::Direction::kDownload;
       else fail("unknown value for key 'direction': " + value);
     } else if (key == "server_fraction")
-      cell->fluctuation.hot_spot.server_fraction = parse_double(key, value);
+      cell->fluctuation.hot_spot.server_fraction = parse_open_unit(key, value);
     else if (key == "client_fraction")
-      cell->fluctuation.hot_spot.client_fraction = parse_double(key, value);
-    else if (key == "scale_min")
+      cell->fluctuation.hot_spot.client_fraction = parse_open_unit(key, value);
+    else if (key == "scale_min") {
       cell->fluctuation.hot_spot.scale_min = parse_double(key, value);
-    else if (key == "scale_max")
+      if (cell->fluctuation.hot_spot.scale_min <= 1.0)
+        fail("scale_min must be > 1, got " + value);
+    } else if (key == "scale_max")
       cell->fluctuation.hot_spot.scale_max = parse_double(key, value);
     else if (key == "scenario_set") cell->scenario.kind = parse_catalog_kind(key, value);
     else if (key == "k_link") cell->scenario.k = parse_int(key, value, kPositive);
@@ -733,6 +742,17 @@ Campaign parse_campaign_spec(std::istream& in) {
   for (std::size_t i = 0; i < campaign.cells.size(); ++i) {
     if (campaign.cells[i].id.empty())
       campaign.cells[i].id = campaign.cells[i].spec.label() + "/" + std::to_string(i);
+  }
+  // Cross-key checks, once every key of a cell is known.
+  for (const CampaignCell& c : campaign.cells) {
+    const auto cell_fail = [&](const std::string& message) {
+      throw std::runtime_error("campaign spec cell '" + c.id + "': " + message);
+    };
+    const FluctuationSpec& f = c.fluctuation;
+    if (f.model != FluctuationSpec::Model::kNone && f.trials == 0)
+      cell_fail("trials required when fluctuation is set");
+    if (f.hot_spot.scale_max < f.hot_spot.scale_min)
+      cell_fail("scale_max must be >= scale_min");
   }
   return campaign;
 }

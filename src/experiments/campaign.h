@@ -252,7 +252,8 @@ std::vector<LinkId> worst_failure_links(const FailureProfile& profile, double fr
 /// Parses the line-based campaign spec format (see README "Campaign
 /// subsystem"): top-level `key = value` lines (name/effort/seed), then one
 /// `[cell]` section per cell. Throws std::runtime_error naming the offending
-/// line on malformed input.
+/// line on malformed input, or the offending cell when keys conflict (a
+/// fluctuation model without `trials`, `scale_max` below `scale_min`).
 Campaign parse_campaign_spec(std::istream& in);
 
 /// Keeps only cells whose id contains `substr` (empty keeps everything).

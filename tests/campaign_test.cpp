@@ -307,6 +307,20 @@ TEST(CampaignTest, SpecParserRejectsMalformedInput) {
   expect_error("[cell]\ntrials = 0\n", "trials must be >= 1");
   expect_error("[cell]\ntop_fraction = -1\n", "top_fraction must be");
   expect_error("[cell]\ntop_fraction = 1e300\n", "top_fraction must be");
+  // The fluctuation models' own ranges, checked before any cell runs.
+  expect_error("[cell]\nepsilon = -5\n", "line 2: epsilon must be >= 0");
+  expect_error("[cell]\nserver_fraction = 5\n", "server_fraction must be in (0, 1]");
+  expect_error("[cell]\nserver_fraction = 0\n", "server_fraction must be in (0, 1]");
+  expect_error("[cell]\nclient_fraction = -3\n", "client_fraction must be in (0, 1]");
+  expect_error("[cell]\nscale_min = 1\n", "scale_min must be > 1");
+  expect_error("[cell]\nscale_min = 3\nscale_max = 2.5\n",
+               "scale_max must be >= scale_min");
+  expect_error("[cell]\nid = big\nscale_min = 7\n",  // default scale_max is 6
+               "cell 'big': scale_max must be >= scale_min");
+  // A model without a trial count would write no stress block.
+  expect_error("[cell]\nid = g\nfluctuation = gaussian\n",
+               "cell 'g': trials required");
+  expect_error("[cell]\nfluctuation = hotspot\nepsilon = 0.1\n", "trials required");
   // stod accepts nan/inf; NaN would slip past every range check.
   expect_error("[cell]\ncritical_fraction = nan\n", "line 2: bad number for key");
   expect_error("[cell]\nobjective = downtime\nharden_period_min = inf\n", "bad number");

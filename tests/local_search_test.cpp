@@ -208,41 +208,72 @@ TEST(LocalSearchTest, ThrowsOnInfeasibleInitial) {
   EXPECT_THROW(search.run(obj, WeightSetting(3, 15)), std::invalid_argument);
 }
 
-TEST(LocalSearchTest, RestartHookUsed) {
-  QuadraticObjective obj({10, 10, 10, 10, 10}, {10, 10, 10, 10, 10});
-  LocalSearch::Config config = quick_config(6);
-  config.phase = {2, 2, 0.5, 0};  // diversify fast, stall fast
-  LocalSearch search(config);
-  int restarts = 0;
-  search.set_restart([&](Rng&) {
-    ++restarts;
-    return WeightSetting(5, 10);  // the optimum
-  });
-  const auto result = search.run(obj, WeightSetting(5, 1));
-  EXPECT_GT(restarts, 0);
-  EXPECT_NEAR(result.best_cost.lambda, 0.0, 1e-12);
-}
-
-TEST(LocalSearchTest, AdoptNamesEveryCurrentSetOutsideProbes) {
-  // The initial point is the optimum (delay sum 3), so the best never
-  // changes. Diversification 1 restarts from a feasible draw; in
-  // diversification 2 every draw is infeasible and the search falls back to
-  // the best; diversification 3 stalls out. Each of the three assignments
-  // is adopted, in order; probe accepts are not.
-  CappedObjective obj(10);
+TEST(LocalSearchTest, InfeasibleDiversificationDrawsOnceAndResumesFromTheBest) {
+  // Cap 1 on 8 links: the initial all-1 point is the optimum and a uniform
+  // draw is feasible with probability 20^-8, so every diversification costs
+  // one evaluation and hands the best back to `adopt`. The third
+  // diversification stalls out without a draw.
+  CappedObjective obj(1);
   LocalSearch::Config config = quick_config(9);
   config.phase = {1, 3, 0.9, 0};
   LocalSearch search(config);
-  int draws = 0;
-  search.set_restart([&](Rng&) { return WeightSetting(3, ++draws == 1 ? 2 : 50); });
+  long probes = 0;
+  search.set_observer([&](const PerturbationEvent&) { ++probes; });
+  std::vector<MoveRecord> moves;
+  search.set_on_move([&](const MoveRecord& m) { moves.push_back(m); });
+  const WeightSetting initial(8, 1);
+  const auto result = search.run(obj, initial);
+  ASSERT_EQ(result.diversifications, 3);
+  EXPECT_EQ(result.evaluations, 1 + probes + 2);
+  EXPECT_TRUE(moves.empty());
+  EXPECT_EQ(obj.adopted(), std::vector<WeightSetting>(3, initial));
+  EXPECT_EQ(result.best, initial);
+}
+
+TEST(LocalSearchTest, FeasibleDiversificationDrawIsAdoptedAsARestart) {
+  // Cap = wmax: every draw is feasible. The initial point is the optimum
+  // (delay sum 3), so the best never changes; diversifications 1 and 2 each
+  // adopt their draw and record it as a restart move, and diversification 3
+  // stalls out. Probe accepts are recorded but not adopted.
+  CappedObjective obj(20);
+  LocalSearch::Config config = quick_config(9);
+  config.phase = {1, 3, 0.9, 0};
+  LocalSearch search(config);
+  std::vector<MoveRecord> restarts;
+  search.set_on_move([&](const MoveRecord& m) {
+    if (m.restart) restarts.push_back(m);
+  });
   const WeightSetting initial(3, 1);
   const auto result = search.run(obj, initial);
   ASSERT_EQ(result.diversifications, 3);
-  EXPECT_EQ(draws, 1 + 16);
+  ASSERT_EQ(restarts.size(), 2u);
   ASSERT_EQ(obj.adopted().size(), 3u);
   EXPECT_EQ(obj.adopted()[0], initial);
-  EXPECT_EQ(obj.adopted()[1], WeightSetting(3, 2));
-  EXPECT_EQ(obj.adopted()[2], initial);
+  for (std::size_t i = 0; i < restarts.size(); ++i) {
+    EXPECT_EQ(restarts[i].link, kInvalidLink);
+    const WeightSetting& draw = obj.adopted()[i + 1];
+    EXPECT_NE(draw, initial);
+    EXPECT_EQ(restarts[i].cost.lambda, obj.evaluate(draw, nullptr)->lambda);
+  }
+  EXPECT_EQ(result.best, initial);
+}
+
+TEST(LocalSearchTest, IterationCapStopsWithoutARestartDraw) {
+  // Capped below the diversification interval: the run evaluates the
+  // initial point and its probes, then stops instead of drawing a restart.
+  QuadraticObjective obj({7, 3, 15, 9}, {2, 18, 5, 11});
+  LocalSearch::Config config = quick_config(12);
+  config.phase = {100, 3, 0.01, 0, 2};
+  LocalSearch search(config);
+  long probes = 0;
+  search.set_observer([&](const PerturbationEvent&) { ++probes; });
+  bool restarted = false;
+  search.set_on_move([&](const MoveRecord& m) { restarted |= m.restart; });
+  const auto result = search.run(obj, WeightSetting(4, 1));
+  EXPECT_EQ(result.iterations, 2);
+  EXPECT_EQ(result.evaluations, 1 + probes);
+  EXPECT_EQ(obj.calls(), 1 + probes);
+  EXPECT_FALSE(restarted);
 }
 
 TEST(LocalSearchTest, DiversificationCountedAndBounded) {
@@ -368,24 +399,6 @@ TEST(AcceptableStoreTest, ReservoirKeepsOldAndNew) {
   }
   EXPECT_GT(early, 0);
   EXPECT_GT(late, 0);
-}
-
-TEST(AcceptableStoreTest, FeasibleFilterAppliesConstraints) {
-  AcceptableStore store(10, 4);
-  store.offer(WeightSetting(1, 1), {0.0, 100.0});   // feasible
-  store.offer(WeightSetting(1, 2), {0.0, 119.0});   // feasible (chi=0.2)
-  store.offer(WeightSetting(1, 3), {0.0, 121.0});   // Phi too high
-  store.offer(WeightSetting(1, 4), {5.0, 100.0});   // Lambda mismatch
-  const auto feasible = store.feasible_entries(0.0, 100.0, 0.2);
-  EXPECT_EQ(feasible.size(), 2u);
-}
-
-TEST(AcceptableStoreTest, SampleFromEmptyThrows) {
-  AcceptableStore store(4, 5);
-  Rng rng(1);
-  EXPECT_THROW(store.sample(rng), std::logic_error);
-  store.offer(WeightSetting(1, 1), {0.0, 0.0});
-  EXPECT_NO_THROW(store.sample(rng));
 }
 
 TEST(AcceptableStoreTest, ZeroCapacityRejected) {
