@@ -9,6 +9,9 @@
 
 namespace dtr {
 
+/// Entries the optimizer's Phase-1 store retains.
+inline constexpr std::size_t kAcceptableStoreCapacity = 128;
+
 /// Bounded store of weight settings encountered during Phase 1 together with
 /// their normal-condition costs. Phase 1b perturbs entries to generate
 /// additional failure-like cost samples.

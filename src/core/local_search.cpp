@@ -112,13 +112,8 @@ LocalSearch::Result LocalSearch::run(SearchObjective& objective,
         candidates[i].set(TrafficClass::kDelay, visit_order[p], probe_delay[p]);
         candidates[i].set(TrafficClass::kThroughput, visit_order[p], probe_tput[p]);
       }
-      if (batch == 1) {
-        screenings[0] = objective.screen(candidates[0]);
-      } else {
-        parallel_for(config_.pool, batch, [&](std::size_t, std::size_t i) {
-          screenings[i] = objective.screen(candidates[i]);
-        });
-      }
+      parallel_for(config_.pool, batch,
+                   [&](std::size_t i) { screenings[i] = objective.screen(candidates[i]); });
 
       // Commit in probe order, finishing deferred probes on this thread;
       // stop at the first accept — later speculative screenings saw a stale

@@ -174,12 +174,9 @@ std::vector<double> unavoidable_violation_profile(
     const Evaluator& evaluator, std::span<const FailureScenario> scenarios,
     ThreadPool* pool) {
   std::vector<double> out(scenarios.size());
-  parallel_for(
-      pool, scenarios.size(),
-      [&](std::size_t, std::size_t i) {
-        out[i] = static_cast<double>(unavoidable_violations(evaluator, scenarios[i]));
-      },
-      sweep_chunk_size(scenarios.size()));
+  parallel_for(pool, scenarios.size(), [&](std::size_t i) {
+    out[i] = static_cast<double>(unavoidable_violations(evaluator, scenarios[i]));
+  });
   return out;
 }
 

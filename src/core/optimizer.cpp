@@ -244,7 +244,7 @@ class OptimizeRun {
         rng_(config.seed),
         link_collector_(evaluator.graph().num_links(), config.wmax, evaluator.params().sla.b1,
                         config.criticality, rng_.split().seed()),
-        store_(config.store_capacity, rng_.split().seed()),
+        store_(kAcceptableStoreCapacity, rng_.split().seed()),
         events_(telemetry::enabled() ? config.events : nullptr),
         live_(telemetry::effective(config.telemetry)) {}
 

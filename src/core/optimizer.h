@@ -44,7 +44,6 @@ struct OptimizerConfig {
   std::uint64_t seed = 1;
   /// Start Phase 1 from the delay-proportional warm start instead of random.
   bool warm_start = true;
-  std::size_t store_capacity = 128;
   /// Phase 1b sample budget; 0 = 20 * tau * |E|.
   long max_phase1b_samples = 0;
   SamplingMode sampling_mode = SamplingMode::kExactFailure;

@@ -227,7 +227,7 @@ CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& opt
   ThreadPool cell_pool(static_cast<int>(workers));
   // Cells land in slot i regardless of which shard ran them, so the result
   // (and its JSON bytes) is independent of the execution schedule.
-  parallel_for(&cell_pool, campaign.cells.size(), [&](std::size_t, std::size_t i) {
+  parallel_for(&cell_pool, campaign.cells.size(), [&](std::size_t i) {
     out.cells[i] = run_cell(campaign.cells[i], campaign.effort, ctx, cell_regs[i].get(),
                             cell_buses[i].get());
   });
@@ -315,7 +315,7 @@ std::vector<StressSeries> evaluate_fluctuations(const Workload& base,
   // Evaluator keeps thread-local. With eval_config.incremental each routing's
   // base is built on its first failure evaluation and delta-patched for the
   // rest.
-  parallel_for(pool, trials, [&](std::size_t, std::size_t t) {
+  parallel_for(pool, trials, [&](std::size_t t) {
     const Evaluator evaluator(base.graph, actual[t], base.params, eval_config);
     const double denom = std::max(evaluator.phi_uncap(), 1e-9);
     for (std::size_t r = 0; r < routings.size(); ++r) {

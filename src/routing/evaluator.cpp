@@ -622,18 +622,11 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
   telemetry::Registry* reg = telemetry::effective(config_.telemetry);
   std::vector<EvalStats> slabs(reg != nullptr ? scenarios.size() : 0);
 
-  // Size-aware split: ISP-tier all-link catalogs cluster expensive backbone
-  // scenarios at the front, so large sweeps use cyclic blocks (see
-  // sweep_chunk_size) instead of the contiguous per-worker split.
   std::vector<EvalResult> out(scenarios.size());
-  parallel_for(
-      pool, scenarios.size(),
-      [&](std::size_t, std::size_t i) {
-        out[i] = evaluate_impl(cost_delay, cost_tput, scenarios[i], detail,
-                               worker_scratch(), base_ptr,
-                               slabs.empty() ? nullptr : &slabs[i]);
-      },
-      sweep_chunk_size(scenarios.size()));
+  parallel_for(pool, scenarios.size(), [&](std::size_t i) {
+    out[i] = evaluate_impl(cost_delay, cost_tput, scenarios[i], detail, worker_scratch(),
+                           base_ptr, slabs.empty() ? nullptr : &slabs[i]);
+  });
   if (reg != nullptr) {
     EvalStats agg;
     for (const EvalStats& s : slabs) agg.merge(s);
@@ -693,7 +686,7 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
   std::vector<EvalStats> slabs(reg != nullptr ? jobs.size() : 0);
 
   std::vector<CostPair> out(jobs.size());
-  parallel_for(pool, jobs.size(), [&](std::size_t, std::size_t i) {
+  parallel_for(pool, jobs.size(), [&](std::size_t i) {
     Scratch& s = worker_scratch();
     jobs[i].weights->arc_costs(graph_, TrafficClass::kDelay, s.cost_delay);
     jobs[i].weights->arc_costs(graph_, TrafficClass::kThroughput, s.cost_tput);
@@ -798,7 +791,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
   std::vector<Term> chunk(round);
   for (std::size_t begin = 0; begin < scenarios.size(); begin += round) {
     const std::size_t count = std::min(round, scenarios.size() - begin);
-    parallel_for(pool, count, [&](std::size_t, std::size_t i) {
+    parallel_for(pool, count, [&](std::size_t i) {
       // The stats land in a local first: assigning to chunk[i] after the call
       // keeps the whole Term (including stats) one well-ordered write.
       EvalStats ts;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dtr {
 
 namespace {
-/// Set while a thread executes a pool chunk; nested `run` calls detect it and
+/// Set while a thread executes pool work; nested `run` calls detect it and
 /// fall back to inline execution rather than waiting on their own pool.
 thread_local bool t_inside_pool_worker = false;
 }  // namespace
@@ -16,10 +17,8 @@ ThreadPool::ThreadPool(int num_threads) {
   std::size_t workers = num_threads == 0
                             ? std::max(1u, std::thread::hardware_concurrency())
                             : static_cast<std::size_t>(num_threads);
-  errors_.resize(workers);
   threads_.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w)
-    threads_.emplace_back([this, w] { worker_loop(w); });
+  for (std::size_t w = 1; w < workers; ++w) threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -31,54 +30,56 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::run_inline(
-    std::size_t n, const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n > 0) body(0, 0, n);
-}
-
-void ThreadPool::run(std::size_t n,
-                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (threads_.empty() || t_inside_pool_worker) {
-    run_inline(n, body);
+void ThreadPool::run(std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (n <= 1 || threads_.empty() || t_inside_pool_worker) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  const std::size_t workers = num_workers();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     body_ = &body;
     job_n_ = n;
     pending_ = threads_.size();
-    std::fill(errors_.begin(), errors_.end(), nullptr);
+    next_index_.store(0);
+    error_ = nullptr;
     ++job_id_;
   }
   start_cv_.notify_all();
 
-  // The caller is worker 0.
   t_inside_pool_worker = true;
-  try {
-    const std::size_t begin = chunk_begin(n, workers, 0);
-    const std::size_t end = chunk_begin(n, workers, 1);
-    if (begin < end) body(0, begin, end);
-  } catch (...) {
-    errors_[0] = std::current_exception();
-  }
+  claim_indices(n, body);
   t_inside_pool_worker = false;
 
+  // Each worker decrements pending_ under the mutex after its last index, so
+  // every slot write happens-before the caller's reduction.
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
   body_ = nullptr;
-  for (const std::exception_ptr& e : errors_) {
-    if (e != nullptr) std::rethrow_exception(e);
+  if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void ThreadPool::claim_indices(std::size_t n, const std::function<void(std::size_t)>& body) {
+  for (std::size_t i = next_index_.fetch_add(1); i < n; i = next_index_.fetch_add(1)) {
+    try {
+      body(i);
+    } catch (...) {
+      // Stop further claims; indices already claimed still finish.
+      next_index_.store(n);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (error_ == nullptr || i < error_index_) {
+        error_ = std::current_exception();
+        error_index_ = i;
+      }
+    }
   }
 }
 
-void ThreadPool::worker_loop(std::size_t worker) {
+void ThreadPool::worker_loop() {
   t_inside_pool_worker = true;
   std::uint64_t last_job = 0;
   for (;;) {
-    const std::function<void(std::size_t, std::size_t, std::size_t)>* body = nullptr;
+    const std::function<void(std::size_t)>* body = nullptr;
     std::size_t n = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -88,14 +89,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
       body = body_;
       n = job_n_;
     }
-    const std::size_t workers = num_workers();
-    try {
-      const std::size_t begin = chunk_begin(n, workers, worker);
-      const std::size_t end = chunk_begin(n, workers, worker + 1);
-      if (begin < end) (*body)(worker, begin, end);
-    } catch (...) {
-      errors_[worker] = std::current_exception();
-    }
+    claim_indices(n, *body);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --pending_;

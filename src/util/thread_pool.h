@@ -1,6 +1,6 @@
 #pragma once
 
-#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -13,19 +13,22 @@
 
 namespace dtr {
 
-/// Deterministic fork-join worker pool.
+/// Fork-join worker pool with self-scheduled indices.
 ///
-/// Work submitted through `run` is split into one contiguous chunk per worker
-/// (static partitioning, no work stealing), so the index->worker assignment is
-/// a pure function of (n, num_workers). Combined with callers that write only
-/// to per-index slots and reduce in index order, every computation built on
-/// this pool produces bit-identical results for ANY worker count — the
-/// contract the optimizer's `num_threads` knob relies on.
+/// `run(n, body)` calls body(i) once for every i in [0, n). The workers, the
+/// calling thread among them, claim indices in increasing order from one
+/// shared counter, so a slow index never holds up the ones after it and no
+/// batch needs a tuned split. Which thread runs which index is not
+/// observable in any result: callers write index i's output to its own slot,
+/// reduce the slots in index order on the calling thread, and keep scratch
+/// thread-local. That makes every computation built on this pool
+/// bit-identical for ANY worker count — the contract the optimizer's
+/// `num_threads` knob relies on.
 ///
-/// The calling thread participates as worker 0, so a pool with W workers uses
-/// W-1 spawned threads and `ThreadPool(1)` runs everything inline on the
-/// caller. `run` invoked from inside a worker (nested parallelism) degrades
-/// gracefully to inline execution instead of deadlocking.
+/// A pool with W workers uses W-1 spawned threads and `ThreadPool(1)` runs
+/// everything inline on the caller. `run` invoked from inside a worker
+/// (nested parallelism) degrades gracefully to inline execution instead of
+/// deadlocking.
 class ThreadPool {
  public:
   /// `num_threads`: total workers including the calling thread;
@@ -38,16 +41,11 @@ class ThreadPool {
 
   std::size_t num_workers() const { return threads_.size() + 1; }
 
-  /// Worker `w`'s chunk of [0, n): [n*w/W, n*(w+1)/W).
-  static std::size_t chunk_begin(std::size_t n, std::size_t workers, std::size_t w) {
-    return n * w / workers;
-  }
-
-  /// Invokes body(worker, begin, end) once per worker over its chunk of
-  /// [0, n). Blocks until every chunk finished. If any invocation throws, the
-  /// lowest-numbered worker's exception is rethrown on the caller.
-  void run(std::size_t n,
-           const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+  /// Invokes body(i) for every i in [0, n) and blocks until all finished.
+  /// After the first throw no further index is claimed, and the exception of
+  /// the lowest throwing index is rethrown on the caller. Every lower index
+  /// was claimed before it, so that is the same error for any worker count.
+  void run(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Total workers a (possibly null) pool provides.
   static std::size_t workers_of(const ThreadPool* pool) {
@@ -55,84 +53,34 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop(std::size_t worker);
-  void run_inline(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+  void worker_loop();
+  void claim_indices(std::size_t n, const std::function<void(std::size_t)>& body);
 
   std::vector<std::thread> threads_;
-  std::mutex mutex_;
+  std::mutex mutex_;  // guards the job fields below up to next_index_
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t job_id_ = 0;
   std::size_t job_n_ = 0;
   std::size_t pending_ = 0;
   bool stopping_ = false;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* body_ = nullptr;
-  std::vector<std::exception_ptr> errors_;
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::exception_ptr error_;  // the lowest throwing index's exception
+  std::size_t error_index_ = 0;
+  std::atomic<std::size_t> next_index_{0};  // next unclaimed index
 };
 
-/// Runs fn(worker, i) for every i in [0, n) across the pool's workers
-/// (`pool == nullptr` or a single worker = plain sequential loop). `worker`
-/// indexes per-worker scratch state; `fn` must only touch index-i output
-/// slots and worker-`worker` scratch for the determinism contract to hold.
-///
-/// `chunk_size == 0` (the default) keeps the one-contiguous-chunk-per-worker
-/// static split. A positive `chunk_size` switches to cyclic chunk
-/// assignment: the range is cut into blocks of `chunk_size` indices and
-/// worker w processes blocks {w, w+W, w+2W, ...} — better load balance when
-/// per-index cost varies (and the NUMA/chunk tuning knob the sweep callers
-/// profile with). Either way the index->worker map stays a pure function of
-/// (n, W, chunk_size), so the determinism contract is unchanged.
-/// Chunk-size policy for whole-catalog scenario sweeps (evaluate_failures,
-/// unavoidable_violation_profile). Both splits dispatch once per sweep, so
-/// this is purely an assignment-pattern choice:
-///
-///   - Small catalogs keep the contiguous per-worker split (0): with fewer
-///     than ~2 blocks per worker a cyclic split would idle workers, and at
-///     paper-table sizes imbalance is noise anyway.
-///   - Large catalogs (the ISP tier: an all-link catalog has one scenario
-///     per link, 10^3..10^4 of them) switch to 32-index cyclic blocks.
-///     Generated and real ISP link orders cluster expensive scenarios at the
-///     front — backbone failures reroute far more demand than access-link
-///     failures, and backbone links are emitted first — so a contiguous
-///     split hands worker 0 most of the costly deltas. Cyclic blocks spread
-///     that skew across workers; 32 keeps enough locality on the shared
-///     incremental base while giving a 4-worker pool ~8+ blocks each to
-///     smooth over.
-///
-/// Either split is bit-identical by the parallel_for contract; this knob only
-/// moves wall-clock. 1024 = 32 blocks of 32, so pools up to 16 wide still get
-/// >= 2 blocks per worker at the switchover point.
-inline std::size_t sweep_chunk_size(std::size_t n) {
-  return n >= 1024 ? 32 : 0;
-}
-
+/// Runs fn(i) for every i in [0, n) across the pool's workers
+/// (`pool == nullptr` or a single worker = plain sequential loop). `fn` must
+/// only write index-i output slots and thread-local scratch for the
+/// determinism contract to hold.
 template <typename Fn>
-void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn, std::size_t chunk_size = 0) {
+void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
   if (pool == nullptr || pool->num_workers() <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(std::size_t{0}, i);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (chunk_size == 0) {
-    pool->run(n, [&fn](std::size_t worker, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(worker, i);
-    });
-    return;
-  }
-  const std::size_t workers = pool->num_workers();
-  const std::size_t blocks = (n + chunk_size - 1) / chunk_size;
-  // run over [0, W) hands each worker exactly its own index; the body then
-  // walks that worker's cyclic block set.
-  pool->run(workers, [&fn, n, blocks, chunk_size, workers](
-                         std::size_t worker, std::size_t begin, std::size_t end) {
-    for (std::size_t w = begin; w < end; ++w) {
-      for (std::size_t b = w; b < blocks; b += workers) {
-        const std::size_t lo = b * chunk_size;
-        const std::size_t hi = std::min(n, lo + chunk_size);
-        for (std::size_t i = lo; i < hi; ++i) fn(worker, i);
-      }
-    }
-  });
+  pool->run(n, [&fn](std::size_t i) { fn(i); });
 }
 
 }  // namespace dtr

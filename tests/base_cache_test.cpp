@@ -160,7 +160,7 @@ TEST(BaseCacheTest, ConcurrentSpeculativeEvaluationsStayConsistent) {
 
   ThreadPool pool(8);
   std::vector<CostPair> got(candidates.size());
-  parallel_for(&pool, candidates.size(), [&](std::size_t, std::size_t i) {
+  parallel_for(&pool, candidates.size(), [&](std::size_t i) {
     const FailureScenario scenario =
         i % 3 == 0 ? FailureScenario::link(static_cast<LinkId>(i) %
                                            inst.graph.num_links())

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -13,43 +18,47 @@ namespace {
 TEST(ThreadPoolTest, SingleWorkerRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_workers(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(100, 0);
-  parallel_for(&pool, hits.size(), [&](std::size_t worker, std::size_t i) {
-    EXPECT_EQ(worker, 0u);
+  parallel_for(&pool, hits.size(), [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     ++hits[i];
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
 }
 
 TEST(ThreadPoolTest, NullPoolRunsSequentially) {
-  std::vector<int> hits(64, 0);
-  parallel_for(nullptr, hits.size(), [&](std::size_t worker, std::size_t i) {
-    EXPECT_EQ(worker, 0u);
-    ++hits[i];
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(nullptr, 64, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
+  std::vector<std::size_t> expected(64);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPoolTest, EveryIndexVisitedExactlyOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_workers(), 4u);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(&pool, hits.size(), [&](std::size_t, std::size_t i) { ++hits[i]; });
+  parallel_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsANoOp) {
   ThreadPool pool(4);
   int calls = 0;
-  parallel_for(&pool, 0, [&](std::size_t, std::size_t) { ++calls; });
-  pool.run(0, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
+  parallel_for(&pool, 0, [&](std::size_t) { ++calls; });
+  pool.run(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPoolTest, FewerItemsThanWorkers) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  parallel_for(&pool, hits.size(), [&](std::size_t, std::size_t i) { ++hits[i]; });
+  parallel_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -59,7 +68,7 @@ TEST(ThreadPoolTest, OversubscriptionBeyondHardwareConcurrency) {
   EXPECT_EQ(pool.num_workers(), 32u);
   std::vector<std::atomic<int>> hits(10000);
   for (int round = 0; round < 3; ++round) {
-    parallel_for(&pool, hits.size(), [&](std::size_t, std::size_t i) { ++hits[i]; });
+    parallel_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
   }
   for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
 }
@@ -67,96 +76,69 @@ TEST(ThreadPoolTest, OversubscriptionBeyondHardwareConcurrency) {
 TEST(ThreadPoolTest, ExceptionsPropagateToCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(parallel_for(&pool, 100,
-                            [&](std::size_t, std::size_t i) {
+                            [&](std::size_t i) {
                               if (i == 57) throw std::runtime_error("boom");
                             }),
                std::runtime_error);
   // The pool must stay usable after a failed job.
   std::vector<std::atomic<int>> hits(100);
-  parallel_for(&pool, hits.size(), [&](std::size_t, std::size_t i) { ++hits[i]; });
+  parallel_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, LowestWorkerExceptionWins) {
-  ThreadPool pool(4);
-  // Every chunk throws its own error; the caller must deterministically see
-  // worker 0's (index-0 chunk) exception.
-  try {
-    pool.run(4, [](std::size_t worker, std::size_t, std::size_t) {
-      throw std::runtime_error("worker " + std::to_string(worker));
-    });
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "worker 0");
+TEST(ThreadPoolTest, LowestIndexExceptionWinsForAnyShape) {
+  // Several indices throw; every shape must report the lowest one, since
+  // every index below a throwing one was claimed before it.
+  const auto first_error = [](ThreadPool* pool) -> std::string {
+    try {
+      parallel_for(pool, 100, [](std::size_t i) {
+        if (i == 3 || i == 57 || i == 90)
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(first_error(nullptr), "index 3");
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 20; ++round)
+      EXPECT_EQ(first_error(&pool), "index 3") << "threads=" << threads;
   }
+}
+
+TEST(ThreadPoolTest, SlowIndexDoesNotHoldUpLaterOnes) {
+  // Index 0 blocks until every later index has run. With a fixed split,
+  // index 1 would queue behind index 0 on the same worker; with shared
+  // claims the other workers take it.
+  ThreadPool pool(4);
+  const std::size_t n = 8;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::size_t done_while_waiting = 0;
+  parallel_for(&pool, n, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (i == 0) {
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return done == n - 1; });
+      done_while_waiting = done;
+    } else {
+      ++done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_EQ(done_while_waiting, n - 1) << "later indices that ran while index 0 waited";
 }
 
 TEST(ThreadPoolTest, NestedRunFallsBackToInline) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
-  parallel_for(&pool, 4, [&](std::size_t, std::size_t outer) {
+  parallel_for(&pool, 4, [&](std::size_t outer) {
     // Nested use of the same pool must not deadlock.
-    pool.run(16, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) ++hits[outer * 16 + i];
-    });
+    parallel_for(&pool, 16, [&](std::size_t i) { ++hits[outer * 16 + i]; });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, StaticPartitionIsDeterministic) {
-  // chunk bounds are a pure function of (n, workers, w): contiguous, ordered,
-  // covering [0, n).
-  for (std::size_t n : {0u, 1u, 7u, 64u, 1001u}) {
-    for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-      std::size_t prev_end = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        const std::size_t begin = ThreadPool::chunk_begin(n, workers, w);
-        const std::size_t end = ThreadPool::chunk_begin(n, workers, w + 1);
-        EXPECT_EQ(begin, prev_end);
-        EXPECT_LE(begin, end);
-        prev_end = end;
-      }
-      EXPECT_EQ(prev_end, n);
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ChunkedParallelForVisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (std::size_t chunk_size : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                                 std::size_t{50}, std::size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(101);
-    parallel_for(
-        &pool, hits.size(), [&](std::size_t, std::size_t i) { ++hits[i]; },
-        chunk_size);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunk_size=" << chunk_size;
-  }
-}
-
-TEST(ThreadPoolTest, ChunkedAssignmentIsCyclicAndDeterministic) {
-  ThreadPool pool(3);
-  const std::size_t chunk_size = 4;
-  const std::size_t n = 26;  // deliberately not a multiple of chunk or workers
-  std::vector<int> owner(n, -1);
-  parallel_for(
-      &pool, n, [&](std::size_t worker, std::size_t i) { owner[i] = static_cast<int>(worker); },
-      chunk_size);
-  // Block b of 4 indices belongs to worker b % 3 — a pure function of
-  // (n, W, chunk_size), the determinism contract.
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(owner[i], static_cast<int>((i / chunk_size) % 3)) << "i=" << i;
-}
-
-TEST(ThreadPoolTest, ChunkedFallsBackToSequentialWithoutPool) {
-  std::vector<int> hits(20, 0);
-  parallel_for(
-      nullptr, hits.size(),
-      [&](std::size_t worker, std::size_t i) {
-        EXPECT_EQ(worker, 0u);
-        ++hits[i];
-      },
-      3);
-  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, RejectsNegativeThreadCount) {
