@@ -30,7 +30,7 @@ int main() {
     const OptimizeResult r = run_optimizer(evaluator, ctx.effort, spec.seed);
 
     Rng rng(spec.seed + 13);
-    const auto scenarios = sample_dual_link_failures(w.graph, pair_samples, rng);
+    const auto scenarios = sample_k_link_failures(w.graph, 2, pair_samples, rng);
     const FailureProfile robust = profile_failures(evaluator, r.robust, scenarios);
     const FailureProfile regular = profile_failures(evaluator, r.regular, scenarios);
     beta_r.add(robust.beta());

@@ -24,16 +24,17 @@
 /// section); --trace-out exports the recorded phase/cell spans in Chrome
 /// trace-event format (open in chrome://tracing or Perfetto). The campaign
 /// JSON artifact itself is byte-identical with or without these flags.
-/// DTR_TELEMETRY_OFF=1 disables all collection.
+/// Without them (or --metrics-port) a one-shot run attaches no registry
+/// and collects nothing.
 ///
 /// Streaming: --events-out attaches an event bus to the run and writes the
 /// stream as dtr.events.v1 JSONL — deterministic-plane lines (iteration
 /// records, phase markers) are byte-identical for any --workers /
 /// --inner-threads shape; process-plane lines (heartbeats, progress, drops)
 /// carry wall_ms and are excluded from golden diffs. Campaign cells opt in
-/// with the `events = 1` spec key. --trace-events replays the recorded
-/// convergence trace (OptimizeResult::trace) of a one-shot run as a purely
-/// deterministic event file after the run completes. --metrics-port N serves
+/// with the `events = 1` spec key. A one-shot run's iteration records are
+/// field for field its convergence trace (OptimizeResult::trace), so
+/// `grep '"event":"iter"'` of the file replays it. --metrics-port N serves
 /// the live registry in Prometheus text format on 127.0.0.1:N for the
 /// duration of the run (port 0 picks an ephemeral port, printed at startup).
 /// `dtr_tool tail FILE` pretty-prints an events file; --follow keeps reading
@@ -155,7 +156,7 @@ struct Options {
   UtilizationTarget util{UtilizationTarget::Kind::kAverage, 0.43};
   Effort effort = Effort::kQuick;
   double fraction = 0.15;
-  std::string out_graph, out_weights, out_dot, trace_events;
+  std::string out_graph, out_weights, out_dot;
   bool report = false;
   /// Availability-aware hardening (the --objective / --harden-* flags);
   /// harden.enabled is set by --objective, mirroring the campaign spec's
@@ -285,8 +286,6 @@ cli::Command one_shot_command(Options& opt) {
       cli::value("--out-weights", "FILE", "write the robust weight setting", opt.out_weights),
       cli::value("--out-dot", "FILE", "write a Graphviz map", opt.out_dot),
       cli::toggle("--report", "print the all-single-link-failure report", opt.report),
-      cli::value("--trace-events", "FILE", "replay the convergence trace as dtr.events.v1 JSONL",
-                 opt.trace_events),
   };
   return {"dtr_tool [flags]   (optimize one instance and export the results)",
           cli::join({topology_flags(opt.topo), std::move(run), std::move(harden),
@@ -337,8 +336,7 @@ void write_file(const std::string& path, const std::function<void(std::ostream&)
 }
 
 /// Writes the telemetry artifacts a run collected; empty paths skip that
-/// export. Valid (possibly empty-countered) files are still produced when
-/// DTR_TELEMETRY_OFF suppressed collection.
+/// export.
 void export_telemetry(const telemetry::Registry& registry, const std::string& name,
                       const ExportArgs& exports) {
   if (!exports.telemetry_json.empty()) {
@@ -373,31 +371,6 @@ void export_events(telemetry::EventBus& bus, const std::string& path) {
     }
   });
   std::cout << "wrote " << events.size() << " events to " << path << "\n";
-}
-
-/// Replays the recorded convergence trace as a purely deterministic
-/// dtr.events.v1 file — the same iteration records the live bus carries, but
-/// reconstructed after the fact from OptimizeResult::trace.
-void export_trace_events(const OptimizeResult& result, const std::string& path) {
-  std::vector<telemetry::Event> events;
-  events.reserve(result.trace.size());
-  for (const TraceMove& tm : result.trace) {
-    telemetry::Event e;
-    e.kind = telemetry::EventKind::kIteration;
-    e.label = tm.phase == 1 ? "phase1" : "phase2";
-    e.iteration = static_cast<std::uint64_t>(tm.move.iteration);
-    e.evaluations = static_cast<std::uint64_t>(tm.move.evaluations);
-    e.link = tm.move.link == kInvalidLink ? -1 : static_cast<std::int64_t>(tm.move.link);
-    e.cost_lambda = tm.move.cost.lambda;
-    e.cost_phi = tm.move.cost.phi;
-    e.restart = tm.move.restart;
-    events.push_back(std::move(e));
-  }
-  write_file(path, [&](std::ostream& out) {
-    telemetry::write_events_header(out);
-    telemetry::write_events_jsonl(out, events);
-  });
-  std::cout << "wrote " << events.size() << " trace events to " << path << "\n";
 }
 
 /// Starts a metrics exposer when `port` >= 0, announcing the bound address
@@ -742,7 +715,6 @@ int run_one_shot(const Options& opt) {
     export_telemetry(registry, "dtr_tool", opt.exports);
   }
   if (!opt.exports.events_out.empty()) export_events(events, opt.exports.events_out);
-  if (!opt.trace_events.empty()) export_trace_events(result, opt.trace_events);
   return 0;
 }
 

@@ -46,8 +46,6 @@ while [[ $# -gt 0 ]]; do
 done
 [[ ${#SPECS[@]} -gt 0 ]] ||
   SPECS=(campaign_smoke scenario_smoke availability_smoke events_smoke isp_smoke)
-# A stray kill switch would empty the ledger.
-unset DTR_TELEMETRY_OFF
 
 REGEN_SHAPE="--workers 2"
 # The ledger shape runs on one thread end to end: the only shape where the

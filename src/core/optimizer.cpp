@@ -244,9 +244,7 @@ class OptimizeRun {
         rng_(config.seed),
         link_collector_(evaluator.graph().num_links(), config.wmax, evaluator.params().sla.b1,
                         config.criticality, rng_.split().seed()),
-        store_(kAcceptableStoreCapacity, rng_.split().seed()),
-        events_(telemetry::enabled() ? config.events : nullptr),
-        live_(telemetry::effective(config.telemetry)) {}
+        store_(kAcceptableStoreCapacity, rng_.split().seed()) {}
 
   OptimizeResult run();
 
@@ -280,11 +278,7 @@ class OptimizeRun {
   Rng rng_;
   CriticalityCollector link_collector_;
   AcceptableStore store_;
-  // Streaming events honor the global kill switch like every other sink.
-  telemetry::EventBus* const events_;
-  telemetry::Registry* const live_;
   std::unique_ptr<ThreadPool> pool_;
-  EvaluatorCacheStats cache_before_;
   OptimizeResult result_;
   std::vector<std::size_t> critical_;  ///< selected catalog positions
   std::vector<LinkId> pre_critical_;   ///< churn baseline
@@ -292,15 +286,15 @@ class OptimizeRun {
 };
 
 void OptimizeRun::phase_marker(telemetry::EventKind kind, std::string_view label) const {
-  if (events_ == nullptr) return;
+  if (config_.events == nullptr) return;
   telemetry::Event e;
   e.kind = kind;
   e.label = std::string(label);
-  telemetry::publish_deterministic(events_, std::move(e));
+  telemetry::publish_deterministic(config_.events, std::move(e));
 }
 
 void OptimizeRun::phase_end(std::string_view label, const LocalSearch::Result& r) const {
-  if (events_ == nullptr) return;
+  if (config_.events == nullptr) return;
   telemetry::Event e;
   e.kind = telemetry::EventKind::kPhaseEnd;
   e.label = std::string(label);
@@ -308,7 +302,7 @@ void OptimizeRun::phase_end(std::string_view label, const LocalSearch::Result& r
   e.evaluations = static_cast<std::uint64_t>(r.evaluations);
   e.cost_lambda = r.best_cost.lambda;
   e.cost_phi = r.best_cost.phi;
-  telemetry::publish_deterministic(events_, std::move(e));
+  telemetry::publish_deterministic(config_.events, std::move(e));
 }
 
 // Deterministic-plane publication rides the LocalSearch hook contract: hooks
@@ -316,15 +310,15 @@ void OptimizeRun::phase_end(std::string_view label, const LocalSearch::Result& r
 // byte-identical for any num_threads.
 void OptimizeRun::record_move(int phase, std::string_view label, const MoveRecord& m) {
   result_.trace.push_back({phase, m});
-  if (live_ != nullptr) {
+  if (telemetry::Registry* live = config_.telemetry) {
     // Live progress for the metrics exposer: the last accepted move is
     // scrapeable mid-run. Process plane — WHEN a scrape observes these is
     // shape-dependent even though the final values are not.
-    live_->gauge("optimizer.live.phase").set(static_cast<std::uint64_t>(phase));
-    live_->gauge("optimizer.live.iteration").set(static_cast<std::uint64_t>(m.iteration));
-    live_->gauge("optimizer.live.evaluations").set(static_cast<std::uint64_t>(m.evaluations));
+    live->gauge("optimizer.live.phase").set(static_cast<std::uint64_t>(phase));
+    live->gauge("optimizer.live.iteration").set(static_cast<std::uint64_t>(m.iteration));
+    live->gauge("optimizer.live.evaluations").set(static_cast<std::uint64_t>(m.evaluations));
   }
-  if (events_ == nullptr) return;
+  if (config_.events == nullptr) return;
   telemetry::Event e;
   e.kind = telemetry::EventKind::kIteration;
   e.label = std::string(label);
@@ -334,7 +328,7 @@ void OptimizeRun::record_move(int phase, std::string_view label, const MoveRecor
   e.cost_lambda = m.cost.lambda;
   e.cost_phi = m.cost.phi;
   e.restart = m.restart;
-  telemetry::publish_deterministic(events_, std::move(e));
+  telemetry::publish_deterministic(config_.events, std::move(e));
 }
 
 OptimizeResult OptimizeRun::run() {
@@ -352,7 +346,6 @@ OptimizeResult OptimizeRun::run() {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     if (pool_->num_workers() <= 1) pool_.reset();
   }
-  cache_before_ = evaluator_.base_cache_stats();
 
   phase1a();
   phase1b();
@@ -570,11 +563,11 @@ void OptimizeRun::phase2() {
   // thread and parallelize across the pool inside the sweep.
   LocalSearch search({config_.phase2, config_.wmax, rng_.split().seed(), pool_.get()});
   search.set_on_move([this](const MoveRecord& m) { record_move(2, "phase2", m); });
-  if (events_ != nullptr) {
+  if (config_.events != nullptr) {
     // Process-plane progress heartbeat: a tick every 256 probes so a live
     // tail shows Phase 2 moving even between accepts. Total is unknown (the
     // stopping rule is stall-based), so it stays 0.
-    search.set_observer([events = events_, probes = 0L](const PerturbationEvent&) mutable {
+    search.set_observer([events = config_.events, probes = 0L](const PerturbationEvent&) mutable {
       if (++probes % 256 != 0) return;
       telemetry::Event e;
       e.kind = telemetry::EventKind::kProgress;
@@ -596,61 +589,41 @@ void OptimizeRun::phase2() {
   phase_end("phase2", phase2);
 }
 
-// ---------------- Telemetry: run-local collection -------------------------
-// A run-local registry always collects (the snapshots back the OptimizeResult
-// accessors, enable switch or not); the config's sink gets the deterministic
-// plane + phase spans merged in at the end. The cache diff stays
-// process-plane-local: publishing evaluator cache numbers is the evaluator
-// OWNER's job (flush_cache_stats_to_telemetry), once.
+// ---------------- Telemetry -----------------------------------------------
+// The run's deterministic optimizer.* counters and its phase spans go to the
+// config's sink. Base-cache numbers are the evaluator OWNER's to publish
+// (flush_cache_stats_to_telemetry), once.
 void OptimizeRun::collect_telemetry() {
+  telemetry::Registry* sink = config_.telemetry;
+  if (sink == nullptr) return;
   const auto phase2_end = Clock::now();
-  telemetry::Registry run_reg;
-  run_reg.counter("optimizer.runs").add(1);
-  run_reg.counter("optimizer.phase1_evaluations")
-      .add(static_cast<std::uint64_t>(result_.phase1_evaluations));
-  run_reg.counter("optimizer.phase1_diversifications")
-      .add(static_cast<std::uint64_t>(result_.phase1_diversifications));
-  run_reg.counter("optimizer.phase1a_samples").add(result_.phase1a_samples);
-  run_reg.counter("optimizer.phase1b_samples").add(result_.phase1b_samples);
-  run_reg.counter("optimizer.samples_evaluated").add(result_.samples_evaluated);
-  run_reg.counter("optimizer.scenario_samples").add(result_.scenario_samples);
-  run_reg.counter("optimizer.phase2_evaluations")
-      .add(static_cast<std::uint64_t>(result_.phase2_evaluations));
-  run_reg.counter("optimizer.phase2_scenario_evaluations")
-      .add(static_cast<std::uint64_t>(result_.phase2_scenario_evaluations));
-  run_reg.counter("optimizer.phase2_diversifications")
-      .add(static_cast<std::uint64_t>(result_.phase2_diversifications));
-  run_reg.counter("optimizer.critical_links").add(result_.critical.size());
-  run_reg.counter("optimizer.critical_scenarios").add(result_.critical_scenarios.size());
+  const auto add = [sink](const char* name, auto value) {
+    sink->counter(name).add(static_cast<std::uint64_t>(value));
+  };
+  add("optimizer.runs", 1);
+  add("optimizer.phase1_evaluations", result_.phase1_evaluations);
+  add("optimizer.phase1_diversifications", result_.phase1_diversifications);
+  add("optimizer.phase1a_samples", result_.phase1a_samples);
+  add("optimizer.phase1b_samples", result_.phase1b_samples);
+  add("optimizer.samples_evaluated", result_.samples_evaluated);
+  add("optimizer.scenario_samples", result_.scenario_samples);
+  add("optimizer.phase2_evaluations", result_.phase2_evaluations);
+  add("optimizer.phase2_scenario_evaluations", result_.phase2_scenario_evaluations);
+  add("optimizer.phase2_diversifications", result_.phase2_diversifications);
+  add("optimizer.critical_links", result_.critical.size());
+  add("optimizer.critical_scenarios", result_.critical_scenarios.size());
 
-  const EvaluatorCacheStats cache_after = evaluator_.base_cache_stats();
-  run_reg.counter("evaluator.base_cache.hits", telemetry::Plane::kProcess)
-      .add(cache_after.hits - cache_before_.hits);
-  run_reg.counter("evaluator.base_cache.misses", telemetry::Plane::kProcess)
-      .add(cache_after.misses - cache_before_.misses);
-  run_reg.counter("evaluator.base_cache.insertions", telemetry::Plane::kProcess)
-      .add(cache_after.insertions - cache_before_.insertions);
-  run_reg.counter("evaluator.base_cache.evictions", telemetry::Plane::kProcess)
-      .add(cache_after.evictions - cache_before_.evictions);
-
-  result_.counters = run_reg.snapshot(telemetry::Plane::kDeterministic);
-  result_.process_counters = run_reg.snapshot(telemetry::Plane::kProcess);
-
-  if (telemetry::Registry* sink = telemetry::effective(config_.telemetry)) {
-    const auto ns = [](Clock::time_point tp) {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch())
-              .count());
-    };
-    const auto span = [&ns](const char* name, Clock::time_point begin, Clock::time_point end) {
-      return telemetry::SpanRecord{name, ns(begin), ns(end) - ns(begin), 0, 0};
-    };
-    sink->merge_counters(result_.counters);
-    sink->merge_spans({span("optimizer.phase1a", phase1a_start_, phase1b_start_),
-                       span("optimizer.phase1b", phase1b_start_, phase1c_start_),
-                       span("optimizer.phase1c", phase1c_start_, phase2_start_),
-                       span("optimizer.phase2", phase2_start_, phase2_end)});
-  }
+  const auto ns = [](Clock::time_point tp) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch()).count());
+  };
+  const auto span = [&ns](const char* name, Clock::time_point begin, Clock::time_point end) {
+    return telemetry::SpanRecord{name, ns(begin), ns(end) - ns(begin), 0, 0};
+  };
+  sink->merge_spans({span("optimizer.phase1a", phase1a_start_, phase1b_start_),
+                     span("optimizer.phase1b", phase1b_start_, phase1c_start_),
+                     span("optimizer.phase1c", phase1c_start_, phase2_start_),
+                     span("optimizer.phase2", phase2_start_, phase2_end)});
 }
 
 }  // namespace

@@ -11,13 +11,13 @@
 #include "core/local_search.h"
 #include "routing/evaluator.h"
 #include "scenarios/hardening.h"
-#include "telemetry/telemetry.h"
 #include "util/presets.h"
 
 namespace dtr {
 
 namespace telemetry {
 class EventBus;
+class Registry;
 }
 
 /// Which critical-link selector drives Phase 2 (Sec. IV-C comparison).
@@ -69,20 +69,21 @@ struct OptimizerConfig {
   /// emulated-weights sampling, and the load and threshold-crossing
   /// selectors. Other catalogs reject those two selectors and sample exactly.
   std::optional<HardeningObjective> objective;
-  /// Optional telemetry sink (borrowed; may be null). The run's deterministic
-  /// optimizer.* counters and its phase spans are merged into it at the end
-  /// of optimize(); the shape-dependent base-cache diff stays in
-  /// OptimizeResult::process_counters only (the evaluator's OWNER publishes
-  /// cache totals once, via Evaluator::flush_cache_stats_to_telemetry — a
-  /// second publication here would double-count). Note the evaluator's own
-  /// eval.*/spf.* counters flow through EvaluatorConfig::telemetry, fixed
-  /// when the evaluator was constructed, not through this field.
+  /// Optional telemetry sink (borrowed; null = no telemetry). At the end of
+  /// optimize() the run adds its deterministic optimizer.* counters and its
+  /// four phase spans to it. Base-cache totals are not published here: the
+  /// evaluator's OWNER publishes them once, via
+  /// Evaluator::flush_cache_stats_to_telemetry, and a second publication
+  /// would double-count. The evaluator's own eval.*/spf.* counters flow
+  /// through EvaluatorConfig::telemetry, fixed when the evaluator was
+  /// constructed, not through this field.
   telemetry::Registry* telemetry = nullptr;
-  /// Optional streaming event sink (borrowed; may be null). While optimize()
-  /// runs it receives deterministic-plane phase markers and one iteration
-  /// record per committed search move (published on the calling thread in
-  /// iteration order — byte-identical for any num_threads) plus process-plane
-  /// Phase-2 progress ticks. Honors the global telemetry kill switch.
+  /// Optional streaming event sink (borrowed; null = no events). While
+  /// optimize() runs it receives deterministic-plane phase markers and one
+  /// iteration record per committed search move (published on the calling
+  /// thread in iteration order — byte-identical for any num_threads, and
+  /// field for field the entries of OptimizeResult::trace) plus
+  /// process-plane Phase-2 progress ticks.
   telemetry::EventBus* events = nullptr;
 };
 
@@ -153,24 +154,6 @@ struct OptimizeResult {
   long phase2_scenario_evaluations = 0;  ///< failure-scenario evals inside Phase 2
   int phase1_diversifications = 0;
   int phase2_diversifications = 0;
-
-  /// Telemetry snapshots of this run, collected into a run-local registry
-  /// regardless of OptimizerConfig::telemetry or the global enable switch:
-  /// `counters` holds the deterministic optimizer.* counters (byte-identical
-  /// across thread shapes), `process_counters` the shape-dependent
-  /// base-routing-cache activity DIFF over the run (all zero when the cache
-  /// is disabled).
-  telemetry::Snapshot counters;
-  telemetry::Snapshot process_counters;
-
-  /// Base-cache activity during this run — compatibility accessors over
-  /// `process_counters` (the former manually-maintained fields).
-  std::uint64_t base_cache_hits() const {
-    return process_counters.counter("evaluator.base_cache.hits");
-  }
-  std::uint64_t base_cache_misses() const {
-    return process_counters.counter("evaluator.base_cache.misses");
-  }
 };
 
 /// The paper's two-phase heuristic (Fig. 1): Phase 1 optimizes K_normal and

@@ -208,20 +208,18 @@ CampaignResult run_campaign(const Campaign& campaign, const CampaignOptions& opt
   // sink's counter totals are then independent of which shard ran which cell
   // and of cell-parallel vs inner-parallel execution. Allocated only for the
   // cells that need one (a sink is set, or the cell embeds its block).
-  telemetry::Registry* sink = telemetry::effective(options.telemetry);
+  telemetry::Registry* sink = options.telemetry;
   std::vector<std::unique_ptr<telemetry::Registry>> cell_regs(campaign.cells.size());
   // Event buses mirror the registry pattern: one PER opted-in CELL, drained
   // into the sink in campaign order after the barrier, so the sink's
   // deterministic-plane line sequence is shape-independent.
-  telemetry::EventBus* event_sink = telemetry::enabled() ? options.events : nullptr;
+  telemetry::EventBus* event_sink = options.events;
   std::vector<std::unique_ptr<telemetry::EventBus>> cell_buses(campaign.cells.size());
-  if (telemetry::enabled()) {
-    for (std::size_t i = 0; i < campaign.cells.size(); ++i) {
-      if (sink != nullptr || campaign.cells[i].telemetry)
-        cell_regs[i] = std::make_unique<telemetry::Registry>();
-      if (event_sink != nullptr && campaign.cells[i].events)
-        cell_buses[i] = std::make_unique<telemetry::EventBus>();
-    }
+  for (std::size_t i = 0; i < campaign.cells.size(); ++i) {
+    if (sink != nullptr || campaign.cells[i].telemetry)
+      cell_regs[i] = std::make_unique<telemetry::Registry>();
+    if (event_sink != nullptr && campaign.cells[i].events)
+      cell_buses[i] = std::make_unique<telemetry::EventBus>();
   }
 
   ThreadPool cell_pool(static_cast<int>(workers));

@@ -118,10 +118,11 @@ ScenarioSet build_scenario_set(const ScenarioSpec& spec, const Graph& g,
 /// Execution context handed to cell bodies: the inner pool is non-null only
 /// when cells run sequentially; `inner_threads` is the matching
 /// OptimizerConfig::num_threads value (1 when cells run in parallel).
-/// `eval_config` carries the campaign-wide evaluator execution knobs
-/// (incremental / base cache / delay DP) — pure HOW-knobs, so the artifact
-/// bytes are identical for every setting (the CI golden gate runs the
-/// config-corner matrix to prove it).
+/// `eval_config` carries the campaign-wide EvaluatorConfig: `incremental`
+/// is a pure HOW-knob, so the artifact bytes are identical for either
+/// setting (the golden gate runs the `--no-incremental` shape to prove it);
+/// the cell's optimizer evaluator swaps its `telemetry` for the cell
+/// registry below.
 struct CellContext {
   ThreadPool* inner_pool = nullptr;
   int inner_threads = 1;

@@ -207,12 +207,11 @@ bool incremental_eligible(const FailureScenario& s) {
 }
 
 /// Scenarios the base actually accelerates beyond a plain no-failure replay:
-/// arc removals — single links, link pairs, and links-only compound
-/// scenarios — that patch instead of recompute.
+/// arc removals — single links and links-only compound scenarios — that
+/// patch instead of recompute.
 bool incremental_patchable(const FailureScenario& s) {
   switch (s.kind) {
     case FailureScenario::Kind::kLink:
-    case FailureScenario::Kind::kLinkPair:
       return true;
     case FailureScenario::Kind::kCompound:
       return s.nodes.empty() && !s.links.empty();
@@ -293,7 +292,7 @@ void Evaluator::pin_incumbent(const WeightSetting& w) const {
 }
 
 void Evaluator::flush_cache_stats_to_telemetry() const {
-  telemetry::Registry* reg = telemetry::effective(config_.telemetry);
+  telemetry::Registry* reg = config_.telemetry;
   if (reg == nullptr || cache_ == nullptr) return;
   const EvaluatorCacheStats s = cache_->stats();
   reg->counter("evaluator.base_cache.hits", telemetry::Plane::kProcess).add(s.hits);
@@ -518,9 +517,9 @@ EvalResult Evaluator::evaluate_impl(std::span<const double> cost_delay,
       return serve_none_from_base(cost_delay, *base, detail);
     }
     if (incremental_patchable(scenario)) {
-      // One compound representation internally: every patchable kind —
-      // kLink, kLinkPair, kCompound — collects its dead arcs through the
-      // same element dispatch and rides the same multi-arc delta update.
+      // One compound representation internally: both patchable kinds —
+      // kLink and kCompound — collect their dead arcs through the same
+      // element dispatch and ride the same multi-arc delta update.
       // The caller's acquire_base materialized the base's replay records.
       s.removed.clear();
       for_each_failed_arc(graph_, scenario, [&](ArcId a) { s.removed.push_back(a); });
@@ -619,7 +618,7 @@ std::vector<EvalResult> Evaluator::evaluate_failures(
   // Per-index stats slabs mirror the per-index result slots: each scenario's
   // deterministic counters land in their own slot and are merged on the
   // calling thread, so the published totals are shape-independent.
-  telemetry::Registry* reg = telemetry::effective(config_.telemetry);
+  telemetry::Registry* reg = config_.telemetry;
   std::vector<EvalStats> slabs(reg != nullptr ? scenarios.size() : 0);
 
   std::vector<EvalResult> out(scenarios.size());
@@ -682,7 +681,7 @@ std::vector<CostPair> Evaluator::evaluate_costs(std::span<const EvalJob> jobs,
     for (std::size_t i = 0; i < jobs.size(); ++i) job_base[i] = group_base[group[i]];
   }
 
-  telemetry::Registry* reg = telemetry::effective(config_.telemetry);
+  telemetry::Registry* reg = config_.telemetry;
   std::vector<EvalStats> slabs(reg != nullptr ? jobs.size() : 0);
 
   std::vector<CostPair> out(jobs.size());
@@ -773,7 +772,7 @@ SweepResult Evaluator::sweep(const WeightSetting& w,
   // the bound check) but never the parallel round's post-abort overshoot,
   // which the sequential sweep would not have evaluated. That keeps the
   // published counters identical for any worker count.
-  telemetry::Registry* reg = telemetry::effective(config_.telemetry);
+  telemetry::Registry* reg = config_.telemetry;
   EvalStats agg;
   const auto finish = [&]() -> SweepResult {
     if (reg != nullptr) {

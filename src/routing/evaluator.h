@@ -76,7 +76,7 @@ struct EvaluatorConfig {
   /// entry: the search incumbent, named by pin_incumbent. The replay records are materialized
   /// LAZILY, on the first call that patches a failure from the base, so
   /// Phase-1 probes whose bases are evicted unused never pay for them.
-  /// Arc-removal scenarios — single links, link pairs, links-only compound
+  /// Arc-removal scenarios — single links and links-only compound
   /// scenarios — patch from the base: distance labels are delta-updated per
   /// destination and untouched destinations replay their recorded load
   /// contributions. Scenarios that fail nodes take the full path (their skip
@@ -94,8 +94,8 @@ struct EvaluatorConfig {
   /// Phase-1 probing issues a shape-dependent NUMBER of them, so per-call
   /// publication would break the cross-shape identity. Base-cache counters
   /// are shape-dependent by nature and flow to the process plane only, via
-  /// flush_cache_stats_to_telemetry(). Ignored while telemetry::enabled() is
-  /// off.
+  /// flush_cache_stats_to_telemetry(). Null is the only "off": the batch
+  /// entry points then skip their stats slots entirely.
   telemetry::Registry* telemetry = nullptr;
 };
 
@@ -283,7 +283,7 @@ class Evaluator {
   /// on the execution shape (LRU survivor sets, speculative lookups), so they
   /// never enter the deterministic plane. The evaluator's owner calls this
   /// exactly once, when done with it — repeated flushes would double-count.
-  /// No-op when telemetry is disabled or unset, or incremental is off.
+  /// No-op when config().telemetry is null or incremental is off.
   void flush_cache_stats_to_telemetry() const;
 
  private:

@@ -40,8 +40,6 @@ std::string to_string(const FailureScenario& s) {
     case FailureScenario::Kind::kNone: return "none";
     case FailureScenario::Kind::kLink: return "link#" + std::to_string(s.id);
     case FailureScenario::Kind::kNode: return "node#" + std::to_string(s.id);
-    case FailureScenario::Kind::kLinkPair:
-      return "links#" + std::to_string(s.id) + "+" + std::to_string(s.id2);
     case FailureScenario::Kind::kCompound: {
       if (s.links.empty() && s.nodes.empty()) return "compound#empty";
       std::string out;
@@ -89,15 +87,6 @@ std::vector<FailureScenario> sample_k_link_failures(const Graph& g, int k,
     if (std::find(out.begin(), out.end(), s) != out.end()) continue;
     out.push_back(std::move(s));
   }
-  return out;
-}
-
-std::vector<FailureScenario> sample_dual_link_failures(const Graph& g,
-                                                       std::size_t count, Rng& rng) {
-  if (g.num_links() < 2)
-    throw std::invalid_argument("sample_dual_link_failures: need >= 2 links");
-  std::vector<FailureScenario> out = sample_k_link_failures(g, 2, count, rng);
-  for (FailureScenario& s : out) s = FailureScenario::link_pair(s.links[0], s.links[1]);
   return out;
 }
 

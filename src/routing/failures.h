@@ -13,17 +13,15 @@ namespace dtr {
 
 /// A failure scenario. Link failures take down both directed arcs of a
 /// physical link (fiber-cut semantics); node failures take down every arc
-/// incident to the node AND remove the traffic it sources/sinks; link-pair
-/// failures (Sec. V-F footnote: "other failure patterns, e.g., multiple link
-/// failures") take down two physical links simultaneously. Compound
-/// scenarios generalize all of the above to ANY set of physical links and
-/// nodes failing together — shared-risk link groups (conduit cuts), k-link
-/// failures, and correlated outages all use this one representation.
+/// incident to the node AND remove the traffic it sources/sinks. Compound
+/// scenarios generalize both to ANY set of physical links and nodes failing
+/// together — link pairs (Sec. V-F footnote: "other failure patterns, e.g.,
+/// multiple link failures"), k-link failures, shared-risk link groups
+/// (conduit cuts) and correlated outages all use this one representation.
 struct FailureScenario {
-  enum class Kind : std::uint8_t { kNone, kLink, kNode, kLinkPair, kCompound };
+  enum class Kind : std::uint8_t { kNone, kLink, kNode, kCompound };
   Kind kind = Kind::kNone;
-  std::uint32_t id = 0;   ///< LinkId or NodeId depending on kind
-  std::uint32_t id2 = 0;  ///< second LinkId (kLinkPair only)
+  std::uint32_t id = 0;  ///< LinkId or NodeId depending on kind
   /// kCompound payload; canonical form (what `compound` produces) is sorted
   /// ascending and deduplicated, so operator== is set equality.
   std::vector<LinkId> links;
@@ -40,13 +38,6 @@ struct FailureScenario {
     FailureScenario s;
     s.kind = Kind::kNode;
     s.id = v;
-    return s;
-  }
-  static FailureScenario link_pair(LinkId a, LinkId b) {
-    FailureScenario s;
-    s.kind = Kind::kLinkPair;
-    s.id = a;
-    s.id2 = b;
     return s;
   }
   /// Canonical compound scenario: both element sets sorted and deduplicated.
@@ -68,22 +59,17 @@ std::vector<FailureScenario> all_node_failures(const Graph& g);
 /// links sorted ascending). Draw pattern: k uniform link indices per
 /// attempt, the attempt rejected on any duplicate, the combination rejected
 /// if already sampled — for k == 2 this is the exact RNG stream of the
-/// historical dual-link sampler. Requires >= k physical links; throws when
+/// historical dual-link sampler. Requires k >= 1 and >= k physical links
+/// (std::invalid_argument otherwise); throws std::runtime_error when
 /// sampling stalls (count close to the number of combinations).
 std::vector<FailureScenario> sample_k_link_failures(const Graph& g, int k,
                                                     std::size_t count, Rng& rng);
-
-/// `count` distinct random dual-link failure scenarios (a != b). Thin shim
-/// over `sample_k_link_failures(g, 2, count, rng)` — same RNG stream, same
-/// samples — returning the legacy kLinkPair representation.
-std::vector<FailureScenario> sample_dual_link_failures(const Graph& g,
-                                                       std::size_t count, Rng& rng);
 
 /// Invokes `on_link(LinkId)` / `on_node(NodeId)` for every element the
 /// scenario takes down, in deterministic order (links before nodes, each in
 /// stored order). The single dispatch point over scenario kinds: every
 /// consumer — mask building, removed-arc collection, catalogs, probability
-/// models — sees the legacy kinds and kCompound through the same compound
+/// models — sees kLink, kNode and kCompound through the same compound
 /// representation.
 template <typename LinkFn, typename NodeFn>
 void for_each_failed_element(const FailureScenario& s, LinkFn&& on_link,
@@ -96,10 +82,6 @@ void for_each_failed_element(const FailureScenario& s, LinkFn&& on_link,
       return;
     case FailureScenario::Kind::kNode:
       on_node(static_cast<NodeId>(s.id));
-      return;
-    case FailureScenario::Kind::kLinkPair:
-      on_link(static_cast<LinkId>(s.id));
-      on_link(static_cast<LinkId>(s.id2));
       return;
     case FailureScenario::Kind::kCompound:
       for (const LinkId l : s.links) on_link(l);

@@ -175,7 +175,6 @@ std::string_view to_string(FailureScenario::Kind kind) {
     case FailureScenario::Kind::kNone: return "none";
     case FailureScenario::Kind::kLink: return "link";
     case FailureScenario::Kind::kNode: return "node";
-    case FailureScenario::Kind::kLinkPair: return "link_pair";
     case FailureScenario::Kind::kCompound: return "compound";
   }
   return "?";

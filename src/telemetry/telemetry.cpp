@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <ostream>
 
 #include "util/json.h"
@@ -19,11 +18,6 @@ std::uint64_t now_ns() {
 }
 
 thread_local int tls_span_depth = 0;
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag(std::getenv("DTR_TELEMETRY_OFF") == nullptr);
-  return flag;
-}
 
 template <typename Entry, typename Make>
 auto& find_or_create(std::vector<Entry>& entries, std::string_view name, Plane plane,
@@ -179,12 +173,6 @@ ScopedSpan::~ScopedSpan() {
   --tls_span_depth;
   registry_->record_span(std::move(name_), start_ns_, now_ns() - start_ns_, depth_);
 }
-
-// ---------------------------------------------------------------------------
-// Enable switch
-
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) { enabled_flag().store(on, std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
 // Export

@@ -183,7 +183,7 @@ class Registry {
 
 /// RAII wall-clock span; records into `registry` on destruction. A null
 /// registry makes it a no-op, so call sites write
-/// `ScopedSpan span(effective(config.telemetry), "phase2");` unconditionally.
+/// `ScopedSpan span(config.telemetry, "phase2");` unconditionally.
 class ScopedSpan {
  public:
   ScopedSpan(Registry* registry, std::string name);
@@ -197,14 +197,6 @@ class ScopedSpan {
   std::uint64_t start_ns_ = 0;
   int depth_ = 0;
 };
-
-/// Global kill switch, initialized from the DTR_TELEMETRY_OFF environment
-/// variable (set => disabled). Instrumented code reads it through
-/// `effective()`, so disabling telemetry reduces the hot-path cost to one
-/// relaxed load plus a null check.
-bool enabled();
-void set_enabled(bool on);
-inline Registry* effective(Registry* registry) { return enabled() ? registry : nullptr; }
 
 struct TelemetryJsonOptions {
   bool include_process = true;  // emit the shape-dependent process plane

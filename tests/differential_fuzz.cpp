@@ -176,8 +176,8 @@ void fuzz_evaluator(Rng& rng) {
     scenarios.push_back(FailureScenario::link(
         static_cast<LinkId>(rng.uniform_int(0, num_links - 1))));
   scenarios.push_back(
-      FailureScenario::link_pair(static_cast<LinkId>(rng.uniform_int(0, num_links - 1)),
-                                 static_cast<LinkId>(rng.uniform_int(0, num_links - 1))));
+      FailureScenario::compound({static_cast<LinkId>(rng.uniform_int(0, num_links - 1)),
+                                 static_cast<LinkId>(rng.uniform_int(0, num_links - 1))}));
   {
     std::vector<LinkId> links;
     for (int i = 0, k = rng.uniform_int(2, 4); i < k; ++i)

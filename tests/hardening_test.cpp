@@ -153,7 +153,7 @@ TEST(HardeningTest, PerLinkShapeDetection) {
   EXPECT_FALSE(is_per_link_shaped(shuffled, g.num_links()));
 
   HardeningObjective compound = objective;
-  compound.set.add(FailureScenario::link_pair(0, 1));
+  compound.set.add(FailureScenario::compound({0, 1}));
   EXPECT_FALSE(is_per_link_shaped(compound, g.num_links()));
 
   EXPECT_FALSE(is_per_link_shaped(objective, g.num_links() + 1));

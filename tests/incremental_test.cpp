@@ -109,7 +109,7 @@ TEST(IncrementalTest, MixedScenarioKindsMatchFullPath) {
   for (NodeId v = 0; v < inst.graph.num_nodes(); v += 3)
     scenarios.push_back(FailureScenario::node(v));
   for (LinkId l = 0; l + 4 < inst.graph.num_links(); l += 5)
-    scenarios.push_back(FailureScenario::link_pair(l, l + 4));
+    scenarios.push_back(FailureScenario::compound({l, l + 4}));
 
   ThreadPool eight(8);
   for (const WeightSetting& w : {random_weights(inst.graph, 25, 99), min_hop(inst.graph)}) {

@@ -573,7 +573,7 @@ TEST(FailuresTest, SkippedNodes) {
   EXPECT_EQ(skipped_nodes(node)[0], 3u);
   EXPECT_TRUE(skipped_nodes(FailureScenario::link(3)).empty());
   EXPECT_TRUE(skipped_nodes(FailureScenario::none()).empty());
-  EXPECT_TRUE(skipped_nodes(FailureScenario::link_pair(1, 2)).empty());
+  EXPECT_TRUE(skipped_nodes(FailureScenario::compound({1, 2})).empty());
   const auto compound = FailureScenario::compound({0}, {5, 2, 5});
   ASSERT_EQ(skipped_nodes(compound).size(), 2u);  // canonical: sorted, deduped
   EXPECT_EQ(skipped_nodes(compound)[0], 2u);
@@ -585,7 +585,7 @@ TEST(FailuresTest, SkippedNodes) {
 TEST(FailuresTest, LinkPairMaskKillsBothLinks) {
   const Graph g = test::make_diamond();
   std::vector<std::uint8_t> mask;
-  build_alive_mask(g, FailureScenario::link_pair(0, 2), mask);
+  build_alive_mask(g, FailureScenario::compound({0, 2}), mask);
   int dead = 0;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     if (mask[a]) continue;
@@ -595,32 +595,19 @@ TEST(FailuresTest, LinkPairMaskKillsBothLinks) {
   EXPECT_EQ(dead, 4);
 }
 
-TEST(FailuresTest, SampleDualLinkFailuresDistinct) {
-  const Graph g = test::make_ring(8);
-  Rng rng(3);
-  const auto scenarios = sample_dual_link_failures(g, 10, rng);
-  EXPECT_EQ(scenarios.size(), 10u);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(scenarios[i].kind, FailureScenario::Kind::kLinkPair);
-    EXPECT_NE(scenarios[i].id, scenarios[i].id2);
-    EXPECT_LT(scenarios[i].id, scenarios[i].id2);  // canonical order
-    for (std::size_t j = i + 1; j < scenarios.size(); ++j)
-      EXPECT_FALSE(scenarios[i] == scenarios[j]);
-  }
-}
-
-TEST(FailuresTest, SampleDualLinkFailuresValidation) {
+TEST(FailuresTest, SampleKLinkFailuresValidation) {
   Graph g(2);
   g.add_link(0, 1, 100.0, 1.0);
   Rng rng(1);
-  EXPECT_THROW(sample_dual_link_failures(g, 3, rng), std::invalid_argument);
+  EXPECT_THROW(sample_k_link_failures(g, 2, 3, rng), std::invalid_argument);  // 1 link < k
+  EXPECT_THROW(sample_k_link_failures(g, 0, 3, rng), std::invalid_argument);  // k < 1
 }
 
 TEST(FailuresTest, ToStringAndValidation) {
   EXPECT_EQ(to_string(FailureScenario::link(2)), "link#2");
   EXPECT_EQ(to_string(FailureScenario::node(7)), "node#7");
   EXPECT_EQ(to_string(FailureScenario::none()), "none");
-  EXPECT_EQ(to_string(FailureScenario::link_pair(1, 3)), "links#1+3");
+  EXPECT_EQ(to_string(FailureScenario::compound({1, 3})), "links#1+3");
   const Graph g = test::make_diamond();
   std::vector<std::uint8_t> mask;
   EXPECT_THROW(build_alive_mask(g, FailureScenario::link(99), mask), std::out_of_range);

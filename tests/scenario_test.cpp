@@ -81,18 +81,6 @@ TEST(ScenarioTest, CompoundAliveMaskKillsLinksAndNodeArcs) {
       build_alive_mask(g, FailureScenario::compound({}, {99}), mask), std::out_of_range);
 }
 
-TEST(ScenarioTest, LinkPairFlowsThroughCompoundDispatch) {
-  // kLinkPair and its compound equivalent dispatch to the same elements in
-  // the same order — one representation internally.
-  const Graph g = test::make_ring(5);
-  std::vector<ArcId> from_pair, from_compound;
-  for_each_failed_arc(g, FailureScenario::link_pair(1, 4),
-                      [&](ArcId a) { from_pair.push_back(a); });
-  for_each_failed_arc(g, FailureScenario::compound({1, 4}),
-                      [&](ArcId a) { from_compound.push_back(a); });
-  EXPECT_EQ(from_pair, from_compound);
-}
-
 // ------------------------------------------------------------ generators
 
 TEST(ScenarioTest, KLinkEnumerationExactUnderBudget) {
@@ -129,10 +117,10 @@ TEST(ScenarioTest, KLinkSamplingDeterministicAndDistinct) {
   EXPECT_FALSE(a == enumerate_k_link_failures(inst.graph, {3, 25, 78}));
 }
 
-TEST(ScenarioTest, DualLinkShimMatchesHistoricalStream) {
+TEST(ScenarioTest, TwoLinkSamplerMatchesHistoricalStream) {
   // The pre-catalog sampler drew (a, b) per attempt, rejected a == b,
   // canonicalized by swap, and deduplicated against the accepted list. The
-  // shim must replay that exact RNG stream.
+  // k = 2 sampler must replay that exact RNG stream.
   const TestInstance inst = make_test_instance(10, 4.0, 5);
   const std::size_t count = 15;
 
@@ -145,20 +133,16 @@ TEST(ScenarioTest, DualLinkShimMatchesHistoricalStream) {
     auto b = static_cast<LinkId>(legacy_rng.uniform_index(inst.graph.num_links()));
     if (a == b) continue;
     if (a > b) std::swap(a, b);
-    const FailureScenario s = FailureScenario::link_pair(a, b);
+    const FailureScenario s = FailureScenario::compound({a, b});
     if (std::find(legacy.begin(), legacy.end(), s) != legacy.end()) continue;
     legacy.push_back(s);
   }
 
-  Rng shim_rng(123);
-  const auto shim = sample_dual_link_failures(inst.graph, count, shim_rng);
-  ASSERT_EQ(shim.size(), legacy.size());
-  for (std::size_t i = 0; i < shim.size(); ++i) {
-    EXPECT_EQ(shim[i].kind, FailureScenario::Kind::kLinkPair);
-    EXPECT_EQ(shim[i], legacy[i]);
-  }
+  Rng sampler_rng(123);
+  const auto sampled = sample_k_link_failures(inst.graph, 2, count, sampler_rng);
+  EXPECT_EQ(sampled, legacy);
   // Both generators consumed the same number of draws.
-  EXPECT_EQ(legacy_rng.uniform_index(1u << 30), shim_rng.uniform_index(1u << 30));
+  EXPECT_EQ(legacy_rng.uniform_index(1u << 30), sampler_rng.uniform_index(1u << 30));
 }
 
 // ------------------------------------------------------------ SRLG catalogs
@@ -265,7 +249,7 @@ TEST(ScenarioTest, RateWeightsAreElementProducts) {
   ScenarioSet set;
   set.add(FailureScenario::none());
   set.add(FailureScenario::link(1));
-  set.add(FailureScenario::link_pair(0, 2));
+  set.add(FailureScenario::compound({0, 2}));
   set.add(FailureScenario::compound({0, 1}, {2}), 1.0, "mixed");
   apply_rate_weights(set, rates);
   EXPECT_DOUBLE_EQ(set.weight(0), 1.0);  // empty product
@@ -347,14 +331,11 @@ TEST(ScenarioTest, CompoundMatchesEquivalentKindsBitwise) {
   const Evaluator ev(inst.graph, inst.traffic, inst.params);
   const WeightSetting w = random_weights(inst.graph, 30, 43);
 
-  // compound({l}) == link(l), compound({a,b}) == link_pair(a,b),
-  // compound({},{v}) == node(v) — including kFull detail.
+  // compound({l}) == link(l), compound({},{v}) == node(v) — including
+  // kFull detail.
   expect_results_identical(
       ev.evaluate(w, FailureScenario::compound({3}), EvalDetail::kFull),
       ev.evaluate(w, FailureScenario::link(3), EvalDetail::kFull));
-  expect_results_identical(
-      ev.evaluate(w, FailureScenario::compound({1, 5}), EvalDetail::kFull),
-      ev.evaluate(w, FailureScenario::link_pair(1, 5), EvalDetail::kFull));
   expect_results_identical(
       ev.evaluate(w, FailureScenario::compound({}, {4}), EvalDetail::kFull),
       ev.evaluate(w, FailureScenario::node(4), EvalDetail::kFull));
@@ -376,7 +357,7 @@ TEST(ScenarioTest, IncrementalMatchesFullOnCompoundCatalogs) {
     const Evaluator full(inst.graph, inst.traffic, inst.params, {.incremental = false});
 
     // Mixed catalog: sampled 2- and 3-link compounds, geographic SRLGs,
-    // node-failing compounds (full-path fallback), and the legacy kinds.
+    // node-failing compounds (full-path fallback), and the single kinds.
     std::vector<FailureScenario> scenarios;
     Rng rng(c.seed + 7);
     for (auto& s : sample_k_link_failures(inst.graph, 2, 10, rng))
@@ -388,7 +369,7 @@ TEST(ScenarioTest, IncrementalMatchesFullOnCompoundCatalogs) {
     for (const FailureScenario& s : geo.scenarios()) scenarios.push_back(s);
     scenarios.push_back(FailureScenario::none());
     scenarios.push_back(FailureScenario::link(0));
-    scenarios.push_back(FailureScenario::link_pair(0, 1));
+    scenarios.push_back(FailureScenario::compound({0, 1}));
     scenarios.push_back(FailureScenario::compound({0, 2}, {1}));
     scenarios.push_back(FailureScenario::compound({}, {0, 3}));
 

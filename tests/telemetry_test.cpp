@@ -3,8 +3,8 @@
 /// contract — counter snapshots byte-identical across 1-vs-8-thread batch
 /// evaluation, sequential-vs-parallel aborted sweeps, optimizer thread
 /// shapes, and cell-parallel vs inner-parallel campaigns — plus the export
-/// writers and the global enable switch. This binary also runs under TSan in
-/// CI (concurrent registration/increment/span recording).
+/// writers. This binary also runs under TSan in CI (concurrent
+/// registration/increment/span recording).
 
 #include <gtest/gtest.h>
 
@@ -142,17 +142,6 @@ TEST(TelemetryRegistryTest, ScopedSpanNestingDepthsAndMergeLanes) {
   const std::vector<telemetry::SpanRecord> merged = reg.spans();
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_NE(merged[2].tid, merged[0].tid);
-}
-
-TEST(TelemetryRegistryTest, EnableSwitchGatesEffective) {
-  telemetry::Registry reg;
-  ASSERT_TRUE(telemetry::enabled()) << "tests assume DTR_TELEMETRY_OFF is unset";
-  EXPECT_EQ(telemetry::effective(&reg), &reg);
-  EXPECT_EQ(telemetry::effective(nullptr), nullptr);
-  telemetry::set_enabled(false);
-  EXPECT_EQ(telemetry::effective(&reg), nullptr);
-  telemetry::set_enabled(true);
-  EXPECT_EQ(telemetry::effective(&reg), &reg);
 }
 
 TEST(TelemetryRegistryTest, ConcurrentRegistrationIncrementAndSpans) {
@@ -343,43 +332,9 @@ TEST(TelemetryDeterminismTest, OptimizerCountersThreadShapeIdentical) {
   // Sink got the phase spans (1a/1b/1c/2) but NOT the base-cache diff.
   EXPECT_EQ(one.spans().size(), 4u);
   EXPECT_EQ(one.snapshot(telemetry::Plane::kProcess).counters.size(), 0u);
-
-  // The result-embedded snapshots back the compat accessors: the cache
-  // totals are populated, and the deterministic section matches the sink's.
-  EXPECT_EQ(r1.counters.counter("optimizer.phase1_evaluations"),
-            snap.counter("optimizer.phase1_evaluations"));
-  EXPECT_GT(r1.base_cache_hits() + r1.base_cache_misses(), 0u);
-  EXPECT_EQ(r8.counters.counter("optimizer.runs"), 1u);
-}
-
-TEST(TelemetryDeterminismTest, ResultSnapshotsPopulatedWhenDisabled) {
-  const TestInstance inst = make_test_instance(8, 4.0, 23);
-  const Evaluator ev(inst.graph, inst.traffic, inst.params);
-  telemetry::Registry sink;
-  OptimizerConfig config = default_optimizer_config(Effort::kSmoke, 3);
-  config.telemetry = &sink;
-  telemetry::set_enabled(false);
-  const OptimizeResult result = RobustOptimizer(ev, config).optimize();
-  telemetry::set_enabled(true);
-  // The kill switch silences the SINK, not the result's own accounting.
-  EXPECT_EQ(sink.snapshot(telemetry::Plane::kDeterministic).counters.size(), 0u);
-  EXPECT_EQ(sink.spans().size(), 0u);
-  EXPECT_EQ(result.counters.counter("optimizer.runs"), 1u);
-  EXPECT_GT(result.base_cache_misses(), 0u);
-
-  // The evaluator's own sink obeys the same switch: an all-link sweep with
-  // an attached registry writes no counter on either plane.
-  telemetry::Registry eval_sink;
-  EvaluatorConfig eval_config;
-  eval_config.telemetry = &eval_sink;
-  const Evaluator instrumented(inst.graph, inst.traffic, inst.params, eval_config);
-  const std::vector<FailureScenario> scenarios = all_link_failures(inst.graph);
-  telemetry::set_enabled(false);
-  const auto failures = instrumented.evaluate_failures(result.robust, scenarios);
-  telemetry::set_enabled(true);
-  EXPECT_EQ(failures.size(), scenarios.size());
-  EXPECT_TRUE(eval_sink.snapshot(telemetry::Plane::kDeterministic).counters.empty());
-  EXPECT_TRUE(eval_sink.snapshot(telemetry::Plane::kProcess).counters.empty());
+  EXPECT_EQ(eight.snapshot(telemetry::Plane::kDeterministic)
+                .counter("optimizer.phase2_evaluations"),
+            static_cast<std::uint64_t>(r8.phase2_evaluations));
 }
 
 // ---------------------------------------------------------------------------
