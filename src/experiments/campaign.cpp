@@ -7,7 +7,9 @@
 #include <istream>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -658,8 +660,8 @@ Campaign parse_campaign_spec(std::istream& in) {
     else if (key == "delay_fraction") cell->spec.delay_fraction = parse_double(key, value);
     else if (key == "seed") cell->spec.seed = parse_u64(key, value);
     // Nothing downstream consumes repeats <= 0; it would just yield a cell
-    // that "succeeds" with zero reps.
-    else if (key == "repeats") cell->repeats = parse_int(key, value, kPositive);
+    // that "succeeds" with zero reps. A huge count would run until killed.
+    else if (key == "repeats") cell->repeats = parse_int(key, value, {1, 1000});
     else if (key == "seed_stride") cell->seed_stride = parse_u64(key, value);
     else if (key == "critical_fraction")
       cell->critical_fraction = parse_double(key, value);
@@ -741,11 +743,14 @@ Campaign parse_campaign_spec(std::istream& in) {
     if (campaign.cells[i].id.empty())
       campaign.cells[i].id = campaign.cells[i].spec.label() + "/" + std::to_string(i);
   }
-  // Cross-key checks, once every key of a cell is known.
+  // Cross-key checks, once every key of a cell is known. An id names one
+  // cell for --filter and the artifact's keys.
+  std::set<std::string_view> ids;
   for (const CampaignCell& c : campaign.cells) {
     const auto cell_fail = [&](const std::string& message) {
       throw std::runtime_error("campaign spec cell '" + c.id + "': " + message);
     };
+    if (!ids.insert(c.id).second) cell_fail("duplicate id");
     const FluctuationSpec& f = c.fluctuation;
     if (f.model != FluctuationSpec::Model::kNone && f.trials == 0)
       cell_fail("trials required when fluctuation is set");

@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "graph/connectivity.h"
+#include "graph/topology.h"
+#include "util/cli.h"
 
 namespace dtr {
 
@@ -65,9 +68,15 @@ Graph read_graph(std::istream& is) {
   if (!next_content_line(is, line)) fail("missing nodes header");
   std::size_t num_nodes = 0;
   {
+    // Strict and capped like --nodes, before the graph allocates anything.
     std::istringstream ss(line);
-    ss >> word >> num_nodes;
-    if (word != "nodes" || ss.fail()) fail("bad nodes header: " + line);
+    std::string count;
+    ss >> word >> count;
+    const std::optional<std::uint64_t> parsed = cli::parse_u64(count);
+    if (word != "nodes" || !parsed) fail("bad nodes header: " + line);
+    if (*parsed > static_cast<std::uint64_t>(kMaxTopologyNodes))
+      fail("nodes must be <= " + std::to_string(kMaxTopologyNodes) + ": " + line);
+    num_nodes = *parsed;
   }
   Graph g(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "routing/failures.h"
@@ -57,22 +56,13 @@ struct SweepBefore {
   }
 };
 
-/// Destination t's sweep order from a Dijkstra settle list (t first):
-/// reversed, with t dropped.
-inline void settle_to_sweep_order(std::vector<NodeId>& order) {
-  std::reverse(order.begin(), order.end());
-  order.pop_back();
+/// Appends destination t's sweep order to `rows` from its Dijkstra settle
+/// list (t first): reversed, without t.
+inline void append_settled_row(std::vector<NodeId>& rows, std::span<const NodeId> settled) {
+  rows.insert(rows.end(), settled.rbegin(), settled.rend() - 1);
 }
 
-/// Destination t's sweep order derived from its labels alone.
-void sort_sweep_order(const std::vector<double>& dist, NodeId t, std::vector<NodeId>& order) {
-  order.clear();
-  for (NodeId u = 0; u < dist.size(); ++u)
-    if (u != t && dist[u] != kInfDist) order.push_back(u);
-  std::sort(order.begin(), order.end(), SweepBefore{dist});
-}
-
-/// Destination t's sweep order after a delta update, into `out`:
+/// Appends destination t's sweep order after a delta update to `out`:
 /// `base_order` minus every relabelled node, merged with the relabelled
 /// nodes that still reach t, sorted under their new labels — O(n + k log k)
 /// instead of a sort of all n. `flag` (one byte per node) is all zero on
@@ -88,7 +78,6 @@ void merge_relabelled(std::span<const NodeId> base_order, std::span<const NodeId
   }
   const SweepBefore before{dist};
   std::sort(moved.begin(), moved.end(), before);
-  out.clear();
   std::size_t j = 0;
   for (NodeId u : base_order) {
     if (flag[u]) continue;
@@ -150,10 +139,6 @@ void RoutingBaseRecord::reset(std::size_t num_nodes) {
   disconnected.reserve(num_nodes);
   disconnected_volume.clear();
   disconnected_volume.reserve(num_nodes);
-  order_offset.clear();
-  order_offset.reserve(num_nodes + 1);
-  order_offset.push_back(0);
-  order_node.clear();
 }
 
 ClassRouting::ClassRouting(const Graph& g, std::span<const double> arc_cost,
@@ -175,43 +160,51 @@ void ClassRouting::compute(const Graph& g, std::span<const double> arc_cost,
   tight_.assign(n * tight_words(g.num_arcs()), 0);
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
+  clear_rows(n);
   if (record != nullptr) record->reset(n);
 
   for (NodeId t = 0; t < n; ++t) {
-    shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &order_);
-    settle_to_sweep_order(order_);
+    shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &settled_);
+    append_settled_row(rows_, settled_);
+    row_offset_.push_back(rows_.size());
     if (!is_skipped(skip_nodes, t)) {
-      if (record != nullptr)
-        record->order_node.insert(record->order_node.end(), order_.begin(), order_.end());
-      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, order_, record);
+      sweep_destination(g, arc_cost, demands, alive_mask, skip_nodes, t, record);
     } else if (record != nullptr) {
       record->disconnected.push_back(0);
       record->disconnected_volume.push_back(0.0);
     }
-    if (record != nullptr) {
-      record->contrib_offset.push_back(record->contrib_arc.size());
-      record->order_offset.push_back(record->order_node.size());
-    }
+    if (record != nullptr) record->contrib_offset.push_back(record->contrib_arc.size());
   }
+}
+
+void ClassRouting::clear_rows(std::size_t n) {
+  row_offset_.assign(1, 0);
+  rows_.clear();
+  rows_.reserve(n * (n - 1));  // every row holds at most the n - 1 nodes but t
+}
+
+bool ClassRouting::computed_for(const Graph& g) const {
+  const std::size_t n = g.num_nodes();
+  return dist_.size() == n && tight_.size() == n * tight_words(g.num_arcs()) &&
+         row_offset_.size() == n + 1;
 }
 
 std::uint64_t ClassRouting::sweep_destination(const Graph& g, std::span<const double> arc_cost,
                                               const TrafficMatrix& demands,
                                               ArcAliveMask alive_mask,
                                               std::span<const NodeId> skip_nodes, NodeId t,
-                                              std::span<const NodeId> order,
                                               RoutingBaseRecord* record) {
   const std::size_t words = tight_words(g.num_arcs());
   const std::span<std::uint64_t> row(tight_.data() + t * words, words);
-  return sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, order,
-                                record, &arc_load_, &disconnected_, &disconnected_volume_,
+  return sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, record,
+                                &arc_load_, &disconnected_, &disconnected_volume_,
                                 node_flow_, row);
 }
 
 std::uint64_t ClassRouting::sweep_destination_body(
     const Graph& g, std::span<const double> arc_cost, const TrafficMatrix& demands,
     ArcAliveMask alive_mask, std::span<const NodeId> skip_nodes, NodeId t,
-    std::span<const NodeId> order, RoutingBaseRecord* record,
+    RoutingBaseRecord* record,
     std::vector<double>* arc_load, std::size_t* disconnected, double* disconnected_volume,
     std::vector<double>& node_flow, std::span<std::uint64_t> tight_row) const {
   const std::size_t n = g.num_nodes();
@@ -252,7 +245,7 @@ std::uint64_t ClassRouting::sweep_destination_body(
   const GraphCsr& csr = g.csr();
   std::uint64_t* const row = tight_row.data();
   std::uint64_t retested = 0;
-  for (NodeId u : order) {
+  for (NodeId u : sweep_row(t)) {
     const double flow = node_flow[u];
     if (flow <= 0.0) continue;
     const std::uint32_t begin = csr.out_offset[u];
@@ -294,33 +287,29 @@ void ClassRouting::record_contributions(const Graph& g, std::span<const double> 
                                         ArcAliveMask alive_mask,
                                         std::span<const NodeId> skip_nodes,
                                         RoutingBaseRecord& record) const {
+  if (!computed_for(g))
+    throw std::logic_error("record_contributions: routing not computed for this graph");
   const std::size_t n = g.num_nodes();
   const std::size_t words = tight_words(g.num_arcs());
-  if (dist_.size() != n || tight_.size() != n * words)
-    throw std::logic_error("record_contributions: routing not computed for this graph");
   record.reset(n);
 
   // The same sweep_destination_body every load path runs — here with null
   // load/disconnection accumulators (this routing already holds the correct
-  // totals), so only the record is written. No Dijkstra runs, so the order
-  // comes from the labels, and a copy of this routing's own DAG row (valid
-  // by the row invariant) spares the sweep most tight tests.
+  // totals), so only the record is written. The sweep walks this routing's
+  // own order rows, and a copy of its own DAG row (valid by the row
+  // invariant) spares it most tight tests.
   std::vector<double> node_flow;
-  std::vector<NodeId> order;
   std::vector<std::uint64_t> row(words);
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) {
       record.disconnected.push_back(0);
       record.disconnected_volume.push_back(0.0);
     } else {
-      sort_sweep_order(dist_[t], t, order);
-      record.order_node.insert(record.order_node.end(), order.begin(), order.end());
       std::copy_n(tight_.begin() + static_cast<std::ptrdiff_t>(t * words), words, row.begin());
-      sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, order, &record,
-                             nullptr, nullptr, nullptr, node_flow, row);
+      sweep_destination_body(g, arc_cost, demands, alive_mask, skip_nodes, t, &record, nullptr,
+                             nullptr, nullptr, node_flow, row);
     }
     record.contrib_offset.push_back(record.contrib_arc.size());
-    record.order_offset.push_back(record.order_node.size());
   }
 }
 
@@ -360,8 +349,7 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
     throw std::invalid_argument("ClassRouting: traffic matrix / graph size mismatch");
   const std::size_t n = g.num_nodes();
   const std::size_t words = tight_words(g.num_arcs());
-  if (base.dist_.size() != n || base.tight_.size() != n * words ||
-      record.contrib_offset.size() != n + 1 || record.order_offset.size() != n + 1)
+  if (!base.computed_for(g) || record.contrib_offset.size() != n + 1)
     throw std::invalid_argument("ClassRouting: base/record don't match this graph");
 
   arc_load_.assign(g.num_arcs(), 0.0);
@@ -371,6 +359,7 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
   tight_ = base.tight_;
   disconnected_ = 0;
   disconnected_volume_ = 0.0;
+  clear_rows(n);
   scratch.relabelled_.resize(n, 0);
 
   const std::size_t cap =
@@ -394,9 +383,7 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
       for (std::uint32_t k = csr.in_offset[u]; k < csr.in_offset[u + 1]; ++k)
         clear_node(csr.in_tail[k]);
     };
-    // Unchanged labels keep the base's order row.
-    std::span<const NodeId> order(record.order_node.data() + record.order_offset[t],
-                                  record.order_offset[t + 1] - record.order_offset[t]);
+    const std::span<const NodeId> base_row = base.sweep_row(t);
 
     const std::ptrdiff_t touched = delta_spf_update_arcs(g, arc_cost, alive_mask, changes,
                                                          dist_[t], cap, scratch.spf_);
@@ -405,9 +392,8 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
       // Delta would touch too much of this destination: full Dijkstra is
       // cheaper than the delta bookkeeping (dist_[t] is still the untouched
       // base copy here). The relabelled nodes are the labels that moved.
-      shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &order_);
-      settle_to_sweep_order(order_);
-      order = order_;
+      shortest_distances_to(g, t, arc_cost, alive_mask, dist_[t], &settled_);
+      append_settled_row(rows_, settled_);
       const std::vector<double>& old_dist = base.dist_[t];
       for (NodeId u = 0; u < n; ++u)
         if (dist[u] != old_dist[u]) relabel(u);
@@ -419,9 +405,13 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
       scratch.stats_.observe_affected(static_cast<std::uint64_t>(touched));
       const std::span<const NodeId> relabelled = scratch.spf_.last_affected();
       for (NodeId u : relabelled) relabel(u);
-      merge_relabelled(order, relabelled, dist, t, scratch.relabelled_, scratch.moved_, order_);
-      order = order_;
+      merge_relabelled(base_row, relabelled, dist, t, scratch.relabelled_, scratch.moved_,
+                       rows_);
+    } else {
+      // Unchanged labels keep the base's order row.
+      rows_.insert(rows_.end(), base_row.begin(), base_row.end());
     }
+    row_offset_.push_back(rows_.size());
     if (!affected) {
       // Labels survived, but a changed arc that is tight (by the sweep's
       // epsilon predicate) under EITHER cost vector still churns the ECMP
@@ -443,7 +433,7 @@ void ClassRouting::patch_from_base(const Graph& g, std::span<const double> arc_c
       // label moved.
       for (const ArcCostDelta& c : changes) clear_node(csr.src[c.arc]);
       scratch.stats_.nodes_retested +=
-          sweep_destination(g, arc_cost, demands, alive_mask, {}, t, order, nullptr);
+          sweep_destination(g, arc_cost, demands, alive_mask, {}, t, nullptr);
       ++scratch.stats_.dests_resweep;
     } else {
       // Untouched DAG: replay the base contributions. Every accumulator
@@ -467,21 +457,15 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
   const std::size_t n = g.num_nodes();
   if (arc_delay_ms.size() != g.num_arcs())
     throw std::invalid_argument("end_to_end_delays: arc_delay size mismatch");
-  const std::size_t words = tight_words(g.num_arcs());
-  if (dist_.size() != n || tight_.size() != n * words)
+  if (!computed_for(g))
     throw std::logic_error("end_to_end_delays: routing not computed for this graph");
+  const std::size_t words = tight_words(g.num_arcs());
   out.assign(n * n, -1.0);
 
   const GraphCsr& csr = g.csr();
   const bool worst = mode == SlaDelayMode::kWorstPath;
   std::vector<double> node_delay(n);
-  std::vector<std::uint8_t> seen(n);
   std::vector<std::uint64_t> row(words);
-  struct Frame {
-    NodeId u;
-    std::uint32_t next;  ///< next out-arc slot of u to descend through
-  };
-  std::vector<Frame> stack;
 
   for (NodeId t = 0; t < n; ++t) {
     if (is_skipped(skip_nodes, t)) continue;
@@ -493,68 +477,42 @@ void ClassRouting::end_to_end_delays(const Graph& g, std::span<const double> arc
     if (!any_demand) continue;
 
     // The sweep marked the tight out-arcs of every node that carried flow
-    // toward t. A node it never reached with flow (possible only through
+    // toward t. A node it never reached with flow (no demand through it, or
     // float underflow of its share) gets its bits from the predicate here.
     std::copy_n(tight_.begin() + static_cast<std::ptrdiff_t>(t * words), words, row.begin());
-    const auto open = [&](NodeId u) {
-      seen[u] = 1;
-      stack.push_back({u, csr.out_offset[u]});
-      const std::uint32_t begin = csr.out_offset[u];
-      const std::uint32_t end = csr.out_offset[u + 1];
-      if (next_bit(row.data(), begin, end) != end) return;
-      for (std::uint32_t k = begin; k < end; ++k) {
-        const ArcId a = csr.out_arc[k];
-        if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist))
-          set_bit(row.data(), k);
-      }
-    };
 
-    // DP over the shortest-path DAG in memoised post-order from each source:
+    // DP over the shortest-path DAG in increasing distance — order row t
+    // backward, so every successor of a node is final before it:
     //   expected: E[u] = sum_k (1/k)(D_a + E[dst_a]) over tight arcs
     //   worst:    W[u] = max_a (D_a + W[dst_a])
-    // A node is summed once all its successors are final, over its tight
-    // slots in CSR order — the float ops of an increasing-distance loop.
-    std::fill(seen.begin(), seen.end(), 0);
-    seen[t] = 1;
+    // A node is summed over its tight slots in CSR order.
     node_delay[t] = 0.0;
+    const std::span<const NodeId> order = sweep_row(t);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const NodeId u = *it;
+      const std::uint32_t begin = csr.out_offset[u];
+      const std::uint32_t end = csr.out_offset[u + 1];
+      if (next_bit(row.data(), begin, end) == end) {
+        for (std::uint32_t k = begin; k < end; ++k) {
+          const ArcId a = csr.out_arc[k];
+          if (alive(alive_mask, a) && arc_is_tight(u, csr.out_head[k], arc_cost[a], dist))
+            set_bit(row.data(), k);
+        }
+      }
+      int tight_count = 0;
+      double acc = worst ? -kInfDist : 0.0;
+      for (std::uint32_t k = next_bit(row.data(), begin, end); k < end;
+           k = next_bit(row.data(), k + 1, end)) {
+        ++tight_count;
+        const double through = arc_delay_ms[csr.out_arc[k]] + node_delay[csr.out_head[k]];
+        acc = worst ? std::max(acc, through) : acc + through;
+      }
+      node_delay[u] = worst ? acc : (tight_count > 0 ? acc / tight_count : 0.0);
+    }
+
     for (NodeId s = 0; s < n; ++s) {
-      if (s == t || is_skipped(skip_nodes, s)) continue;
-      if (demands.at(s, t) <= 0.0) continue;
-      const std::size_t slot = static_cast<std::size_t>(s) * n + t;
-      if (dist[s] == kInfDist) {
-        out[slot] = kInfDist;
-        continue;
-      }
-      if (!seen[s]) open(s);
-      while (!stack.empty()) {
-        Frame& f = stack.back();
-        const NodeId u = f.u;
-        const std::uint32_t end = csr.out_offset[u + 1];
-        NodeId child = kInvalidNode;
-        for (std::uint32_t k = next_bit(row.data(), f.next, end); k < end;
-             k = next_bit(row.data(), k + 1, end)) {
-          if (!seen[csr.out_head[k]]) {
-            child = csr.out_head[k];
-            f.next = k + 1;
-            break;
-          }
-        }
-        if (child != kInvalidNode) {
-          open(child);
-          continue;
-        }
-        int tight_count = 0;
-        double acc = worst ? -kInfDist : 0.0;
-        for (std::uint32_t k = next_bit(row.data(), csr.out_offset[u], end); k < end;
-             k = next_bit(row.data(), k + 1, end)) {
-          ++tight_count;
-          const double through = arc_delay_ms[csr.out_arc[k]] + node_delay[csr.out_head[k]];
-          acc = worst ? std::max(acc, through) : acc + through;
-        }
-        node_delay[u] = worst ? acc : (tight_count > 0 ? acc / tight_count : 0.0);
-        stack.pop_back();
-      }
-      out[slot] = node_delay[s];
+      if (s == t || is_skipped(skip_nodes, s) || demands.at(s, t) <= 0.0) continue;
+      out[static_cast<std::size_t>(s) * n + t] = dist[s] == kInfDist ? kInfDist : node_delay[s];
     }
   }
 }

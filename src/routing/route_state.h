@@ -37,13 +37,6 @@ struct RoutingBaseRecord {
   /// Per-destination disconnected-demand subtotals.
   std::vector<std::uint32_t> disconnected;
   std::vector<double> disconnected_volume;
-  /// CSR over destinations: destination t's sweep order (ClassRouting's
-  /// order rule over the recorded labels; every node but t with a finite
-  /// label) is [order_offset[t], order_offset[t+1]) in order_node. The patch
-  /// paths reuse it, or merge the relabelled nodes into it, instead of
-  /// re-deriving the order. Empty for a skipped destination.
-  std::vector<std::size_t> order_offset;
-  std::vector<NodeId> order_node;
 
   void reset(std::size_t num_nodes);
 };
@@ -114,10 +107,12 @@ class FailureScratch {
 /// Order rule: the sweep visits nodes in decreasing distance and breaks ties
 /// by decreasing node id — exactly the reverse of the settle order
 /// shortest_distances_to reports. The order fixes the order in which a
-/// node's inflow sums, so every load path uses this one total order: compute
-/// takes it from its Dijkstra, the patch paths take it from the base's record
-/// (merging in the relabelled nodes), and only record_contributions, which
-/// runs no Dijkstra, sorts.
+/// node's inflow sums, so every load path uses this one total order. The
+/// routing keeps it as state, one row per destination next to the labels:
+/// compute writes its Dijkstra's settle order, the patch paths write the
+/// base's row (merging in the relabelled nodes, or the settle order of a
+/// full-Dijkstra fallback), and record_contributions and end_to_end_delays
+/// read the rows — the latter backward, in increasing distance.
 class ClassRouting {
  public:
   /// `skip_nodes`: demands sourced or sunk at any of these nodes are ignored
@@ -142,9 +137,9 @@ class ClassRouting {
                RoutingBaseRecord* record = nullptr);
 
   /// Re-derives the RoutingBaseRecord that compute(..., record) would have
-  /// produced, from this routing's EXISTING distance labels — the demand
-  /// seeding and ECMP share arithmetic re-run over dist_, but no Dijkstra,
-  /// so the order rows are sorted from the labels by the order rule.
+  /// produced, from this routing's EXISTING state — the demand seeding and
+  /// ECMP share arithmetic re-run over dist_ in the stored order rows, but
+  /// no Dijkstra.
   /// The appended values are bitwise identical to an eagerly recorded
   /// base's (same labels, same float ops, same order; test-enforced via the
   /// incremental byte-identity suites). Used by the evaluator's lazy
@@ -213,10 +208,10 @@ class ClassRouting {
   /// no demand). Disconnected pairs with demand get kInfDist.
   ///
   /// Walks the ECMP DAG the load sweep recorded (its tight out-arcs per
-  /// destination), so `arc_cost`, `alive`, `demands` and `skip_nodes` must be
-  /// the inputs this routing was computed with. Throws std::logic_error when
-  /// the routing holds no DAG for `g` (never computed, or computed for a
-  /// graph of another size).
+  /// destination) backward along the order rows, so `arc_cost`, `alive`,
+  /// `demands` and `skip_nodes` must be the inputs this routing was computed
+  /// with. Throws std::logic_error when the routing holds no DAG for `g`
+  /// (never computed, or computed for a graph of another size).
   void end_to_end_delays(const Graph& g, std::span<const double> arc_cost,
                          ArcAliveMask alive, std::span<const double> arc_delay_ms,
                          const TrafficMatrix& demands, SlaDelayMode mode,
@@ -234,16 +229,26 @@ class ClassRouting {
                        std::span<const ArcCostDelta> changes,
                        double max_affected_fraction, FailureScratch& scratch);
 
+  /// Starts an empty order-row table, reserved for n destinations' rows.
+  void clear_rows(std::size_t n);
+  /// Destination t's order row: every node but t with a finite label, in
+  /// sweep order.
+  std::span<const NodeId> sweep_row(NodeId t) const {
+    return {rows_.data() + row_offset_[t], row_offset_[t + 1] - row_offset_[t]};
+  }
+  /// Whether this routing holds labels, DAG rows and order rows for `g`.
+  bool computed_for(const Graph& g) const;
+
   /// Seeds the demands toward `t` (counting its disconnected demand as a
   /// per-destination subtotal) and runs the ECMP load sweep over dist_[t] in
-  /// `order`, with tight_'s row t as the DAG. Appends the destination's
+  /// order row t, with tight_'s row t as the DAG. Appends the destination's
   /// slices to `record` when given. Shared by the full and incremental paths
   /// so their per-destination float operations are literally the same code.
   /// Returns the number of nodes whose tight out-arcs it tested.
   std::uint64_t sweep_destination(const Graph& g, std::span<const double> arc_cost,
                                   const TrafficMatrix& demands, ArcAliveMask alive_mask,
                                   std::span<const NodeId> skip_nodes, NodeId t,
-                                  std::span<const NodeId> order, RoutingBaseRecord* record);
+                                  RoutingBaseRecord* record);
 
   /// The one per-destination seed + ECMP share sweep every load path runs:
   /// `arc_load` / `disconnected` / `disconnected_volume` receive the results
@@ -251,15 +256,14 @@ class ClassRouting {
   /// `record` receives the replay slices (eager recording and the lazy
   /// record_contributions, which passes null accumulators). One body means
   /// one set of float ops — the recorded shares cannot drift from the
-  /// applied ones. `order` is the destination's sweep order (the order rule
-  /// above). `tight_row` must satisfy tight_'s row invariant; the sweep
-  /// tests the out-arcs of each flow-carrying node whose row is empty, fills
-  /// the row in, and returns how many nodes it tested.
+  /// applied ones. The sweep visits order row t. `tight_row` must satisfy
+  /// tight_'s row invariant; the sweep tests the out-arcs of each
+  /// flow-carrying node whose row is empty, fills the row in, and returns how
+  /// many nodes it tested.
   std::uint64_t sweep_destination_body(const Graph& g, std::span<const double> arc_cost,
                                        const TrafficMatrix& demands,
                                        ArcAliveMask alive_mask,
                                        std::span<const NodeId> skip_nodes, NodeId t,
-                                       std::span<const NodeId> order,
                                        RoutingBaseRecord* record,
                                        std::vector<double>* arc_load,
                                        std::size_t* disconnected,
@@ -279,11 +283,16 @@ class ClassRouting {
   /// kept without a retest. Read by end_to_end_delays, which tests an empty
   /// range on demand under the same rule.
   std::vector<std::uint64_t> tight_;
+  /// The order rows, CSR over destinations: row t is
+  /// [row_offset_[t], row_offset_[t+1]) in rows_ (see the order rule above).
+  /// Written for every destination, skipped ones included.
+  std::vector<std::size_t> row_offset_;
+  std::vector<NodeId> rows_;
   std::size_t disconnected_ = 0;
   double disconnected_volume_ = 0.0;
   // compute() scratch, kept to avoid reallocation across evaluations.
   std::vector<double> node_flow_;
-  std::vector<NodeId> order_;  ///< one destination's sweep order
+  std::vector<NodeId> settled_;  ///< one destination's Dijkstra settle list
 };
 
 /// Tight-arc test: arc a lies on a shortest path toward t (distance labels

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "util/cli.h"
 #include "util/json.h"
 
 namespace dtr {
@@ -47,15 +50,11 @@ std::vector<SrlgGroup> parse_srlg(std::istream& in) {
     std::istringstream tokens(v);
     std::string token;
     while (tokens >> token) {
-      std::size_t pos = 0;
-      long id = 0;
-      try {
-        id = std::stol(token, &pos);
-      } catch (const std::exception&) {
-        fail("bad id: " + token);
-      }
-      if (pos != token.size() || id < 0) fail("bad id: " + token);
-      ids.push_back(static_cast<std::uint32_t>(id));
+      // Whole token, no minus sign, and no wrap into a valid 32-bit id;
+      // srlg_scenario_set checks the id against the graph.
+      const std::optional<std::uint64_t> id = cli::parse_u64(token);
+      if (!id || *id > std::numeric_limits<std::uint32_t>::max()) fail("bad id: " + token);
+      ids.push_back(static_cast<std::uint32_t>(*id));
     }
     if (ids.empty()) fail("expected at least one id");
     return ids;

@@ -300,7 +300,13 @@ TEST(CampaignTest, SpecParserRejectsMalformedInput) {
   expect_error("effort = warp\n", "unknown value for key 'effort'");
   expect_error("no equals here\n", "expected key = value");
   expect_error("seed = -1\n", "bad seed");  // stoull would wrap mod 2^64
-  expect_error("[cell]\nrepeats = 0\n", "repeats must be >= 1");
+  expect_error("[cell]\nrepeats = 0\n", "repeats must be in [1, 1000]");
+  expect_error("[cell]\nrepeats = 2000000000\n",
+               "repeats must be in [1, 1000], got 2000000000");
+  // Two cells under one id would make --filter and the artifact's keys
+  // ambiguous.
+  expect_error("[cell]\nid = a\n[cell]\nid = b\n[cell]\nid = a\n",
+               "cell 'a': duplicate id");
   // A non-positive trial count or an out-of-range stressed share would skip
   // the cell's stress block silently.
   expect_error("[cell]\ntrials = -4\n", "trials must be >= 1");

@@ -20,9 +20,10 @@
 ///      setting must still be cached whenever the walk returns to it;
 ///   5. the end-to-end delay DP over the routing's recorded ECMP DAG vs the
 ///      sorted-order reference DP (reference_delay_dp.h), on routings from
-///      compute (dead arcs, skipped nodes), compute_from_base and
-///      compute_from_weight_delta, both delay modes, dense and sparse
-///      demand. Layers 2-4 cannot see a DP bug: the fast
+///      compute (dead arcs, skipped nodes), compute_from_base (with and
+///      without the forced full-Dijkstra fallback), compute_from_weight_delta
+///      and a failure patched from that routing, both delay modes, dense and
+///      sparse demand. Layers 2-4 cannot see a DP bug: the fast
 ///      and the full evaluator run the same DP.
 /// Layers 2-5 draw weights up to wmax 2 or 20. Weights in {1, 2} make
 /// equal-distance ties common, and ties are where the sweep's order rule

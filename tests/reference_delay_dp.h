@@ -70,11 +70,13 @@ inline void reference_end_to_end_delays(const Graph& g, const ClassRouting& rout
 }
 
 /// Builds one class's routing over `demands` through every path that writes
-/// its ECMP DAG — compute with dead arcs and a skipped node,
-/// compute_from_base, compute_from_weight_delta — under random link weights
-/// in [1, wmax] (wmax = 2 makes ECMP ties common), then
-/// compares end_to_end_delays with the reference under both SlaDelayModes
-/// and random arc delays. Returns "<path>/<mode>" for every comparison whose
+/// its ECMP DAG and order rows — compute with dead arcs and a skipped node,
+/// compute_from_base (delta-SPF, and with every moved destination forced
+/// through the full-Dijkstra fallback), compute_from_weight_delta, and a
+/// failure patched from that weight-delta routing, which reads the merged
+/// rows as base rows — under random link weights in [1, wmax] (wmax = 2
+/// makes ECMP ties common), then compares end_to_end_delays with the
+/// reference under both SlaDelayModes and random arc delays. Returns "<path>/<mode>" for every comparison whose
 /// bytes differ; `checks` counts the comparisons made.
 inline std::vector<std::string> delay_dp_mismatches(const Graph& g, const TrafficMatrix& demands,
                                                     int wmax, Rng& rng, std::size_t& checks) {
@@ -125,6 +127,9 @@ inline std::vector<std::string> delay_dp_mismatches(const Graph& g, const Traffi
   ClassRouting patched;
   patched.compute_from_base(g, cost, demands, base, record, removed, failed_alive, 0.25, scratch);
   compare("compute_from_base", patched, cost, failed_alive, {});
+  ClassRouting fallback;
+  fallback.compute_from_base(g, cost, demands, base, record, removed, failed_alive, 0.0, scratch);
+  compare("compute_from_base_fallback", fallback, cost, failed_alive, {});
 
   std::vector<double> new_cost = cost;
   std::vector<ArcCostDelta> changes;
@@ -137,6 +142,16 @@ inline std::vector<std::string> delay_dp_mismatches(const Graph& g, const Traffi
   ClassRouting delta;
   delta.compute_from_weight_delta(g, new_cost, demands, base, record, changes, 0.25, scratch);
   compare("compute_from_weight_delta", delta, new_cost, {}, {});
+
+  RoutingBaseRecord delta_record;
+  delta.record_contributions(g, new_cost, demands, {}, {}, delta_record);
+  const std::span<const ArcId> removed_again = g.link_arcs(random_link());
+  std::vector<std::uint8_t> again_alive(g.num_arcs(), 1);
+  for (ArcId a : removed_again) again_alive[a] = 0;
+  ClassRouting chained;
+  chained.compute_from_base(g, new_cost, demands, delta, delta_record, removed_again,
+                            again_alive, 0.25, scratch);
+  compare("chained_patch", chained, new_cost, again_alive, {});
   return mismatches;
 }
 

@@ -280,9 +280,11 @@ TEST(SweepOrderTest, EqualDistanceNodesFeedTheirSuccessorInDecreasingIdOrder) {
 
 TEST(SweepOrderTest, EveryLoadPathMatchesTheReferenceOnMinHopGraphs) {
   // Unit costs on dense random graphs tie most distances. compute() takes its
-  // order from Dijkstra; record_contributions sorts the labels (the one sort
-  // left) and must write the record an eager compute writes; a weight delta
-  // back to unit costs merges the relabelled nodes into its donor's order row.
+  // order from Dijkstra; record_contributions sweeps the routing's stored
+  // order rows and must write the record an eager compute writes, and a
+  // failure patched from that lazy base must match a full compute; a weight
+  // delta back to unit costs merges the relabelled nodes into its donor's
+  // order row.
   for (const std::uint64_t seed : {4ull, 8ull}) {
     const Graph g = make_rand_topo({16, 5.0, 500.0, seed});
     const TrafficMatrix tm = make_gravity_traffic(g, {3.0, 1.0, seed + 1});
@@ -306,8 +308,16 @@ TEST(SweepOrderTest, EveryLoadPathMatchesTheReferenceOnMinHopGraphs) {
     EXPECT_TRUE(rows_equal(lazy_record.contrib_val, eager_record.contrib_val));
     EXPECT_TRUE(rows_equal(lazy_record.disconnected, eager_record.disconnected));
     EXPECT_TRUE(rows_equal(lazy_record.disconnected_volume, eager_record.disconnected_volume));
-    EXPECT_TRUE(rows_equal(lazy_record.order_offset, eager_record.order_offset));
-    EXPECT_TRUE(rows_equal(lazy_record.order_node, eager_record.order_node));
+
+    const std::span<const ArcId> removed = g.link_arcs(1);
+    std::vector<std::uint8_t> failed_alive(g.num_arcs(), 1);
+    for (ArcId a : removed) failed_alive[a] = 0;
+    const ClassRouting failed_full(g, costs, tm, failed_alive);
+    FailureScratch lazy_scratch;
+    ClassRouting from_lazy;
+    from_lazy.compute_from_base(g, costs, tm, lazy, lazy_record, removed, failed_alive, 0.25,
+                                lazy_scratch);
+    EXPECT_TRUE(load_bytes_equal(from_lazy.arc_loads(), failed_full.arc_loads()));
 
     std::vector<double> donor_costs = costs;
     std::vector<ArcCostDelta> changes;
@@ -463,10 +473,11 @@ TEST(EndToEndDelayTest, DisconnectedIsInfinite) {
 
 TEST(EndToEndDelayTest, MatchesSortedReferenceOnEveryRoutingPath) {
   // The DAG walk must reproduce the sorted-order DP bit for bit on routings
-  // from every path that writes the DAG (compute with dead arcs and skipped
-  // nodes, compute_from_base, compute_from_weight_delta), under dense and
-  // sparse demand and ECMP-heavy weights. Incremental-vs-full checks cannot
-  // see a DP bug: both run it.
+  // from every path that writes the DAG and order rows (compute with dead
+  // arcs and skipped nodes, compute_from_base with and without the forced
+  // full-Dijkstra fallback, compute_from_weight_delta, a failure patched from
+  // the weight-delta routing), under dense and sparse demand and ECMP-heavy
+  // weights. Incremental-vs-full checks cannot see a DP bug: both run it.
   std::size_t checks = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const int nodes = 9 + static_cast<int>(seed % 5);
@@ -487,7 +498,7 @@ TEST(EndToEndDelayTest, MatchesSortedReferenceOnEveryRoutingPath) {
       }
     }
   }
-  EXPECT_EQ(checks, 12u * 2 * 2 * 8);
+  EXPECT_EQ(checks, 12u * 2 * 2 * 12);
 }
 
 TEST(EndToEndDelayTest, NodesReachedOnlyByUnderflowedShares) {

@@ -17,7 +17,9 @@
 ///   ./build/tests/scale_check --nodes 1000 --pops 40 --avg-degree 20
 ///       --threads 4 --full-sample 32
 ///
-/// Any mismatch prints the scenario index and fields and exits 1.
+/// Any mismatch prints the scenario index and fields and exits 1. The final
+/// `scale_check OK` line also reports the process's peak RSS (VmHWM), so the
+/// 1000-node run logs what the per-routing n^2 state costs.
 
 #include <chrono>
 #include <cstdio>
@@ -86,6 +88,19 @@ int report_mismatch(const char* what, std::size_t scenario, const EvalResult& a,
   return 1;
 }
 
+/// Peak resident set size in MB (VmHWM of /proc/self/status), or -1 where
+/// the file does not exist.
+double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1.0;
+  char line[256];
+  long kb = -1;
+  while (kb < 0 && std::fgets(line, sizeof line, status) != nullptr)
+    if (std::sscanf(line, "VmHWM: %ld kB", &kb) != 1) kb = -1;
+  std::fclose(status);
+  return kb < 0 ? -1.0 : static_cast<double>(kb) / 1024.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,7 +164,7 @@ int main(int argc, char** argv) {
   std::printf("full-path cross-check: %zu sampled scenarios in %.1fs\n", sample,
               secs());
   std::printf("scale_check OK: %zu scenarios byte-identical across thread "
-              "shapes and against the full path\n",
-              scenarios.size());
+              "shapes and against the full path; peak RSS %.1f MB\n",
+              scenarios.size(), peak_rss_mb());
   return 0;
 }
